@@ -200,15 +200,9 @@ def criterion_08_trace_expansion(seed) -> CriterionResult:
     grid = oracle.SpectralGrid(1, 40.0, 1024)
     tg = np.geomspace(1e-3, 1e-1, 40)
     v = _WELL
-    base = oracle.trace_difference_curve(v, 1.0, grid, tg)
-    fine = oracle.trace_difference_curve(v, 1.0, grid.doubled_modes(), tg)
-    gate_n = float(np.max(np.abs(fine.normalized / base.normalized - 1.0)))
+    curve = oracle.extrapolated_trace_curve(v, 1.0, grid, tg)
+    gate_n = curve.meta["grid_doubling_max_rel_change"]
     gate_l = oracle.domain_convergence(v, 1.0, grid, tg)
-    curve = oracle.TraceCurve(
-        t_grid=tg, values=base.values,
-        normalized=2.0 * fine.normalized - base.normalized,
-        normalization="free", meta={"refined": True},
-    )
     fit = oracle.fit_expansion(curve, [1.0, 2.0, 3.0, 4.0])
     targets = {
         1.0: (-v.integral_power(1), 0.01),

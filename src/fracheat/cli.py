@@ -1,6 +1,7 @@
 """Reproducible experiment driver.
 
-Every subcommand builds a flat RunConfig, hashes it, and executes through
+Every subcommand builds a flat RunConfig, hashes it together with a digest
+of the package source, and executes through
 the same runner: results land in a content-addressed directory under the
 output root (flag --output, else $FRACHEAT_OUTPUT, else ./runs) together
 with a manifest recording the config hash, every effective parameter, the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -38,6 +40,22 @@ from .acceptance import acceptance_suite
 SCHEMA_VERSION = 1
 
 
+@functools.cache
+def _code_digest() -> str:
+    """Digest of the package's source files, part of every config hash.
+
+    A change to the code changes every hash, so results computed by other
+    code are never served from the cache.
+    """
+    h = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()[:16]
+
+
 @dataclass
 class RunConfig:
     experiment: str
@@ -47,7 +65,8 @@ class RunConfig:
     fmt: str = "json"
 
     def canonical(self) -> str:
-        lines = [f"experiment={self.experiment}", f"seed={self.seed}", f"format={self.fmt}"]
+        lines = [f"experiment={self.experiment}", f"code={_code_digest()}",
+                 f"seed={self.seed}", f"format={self.fmt}"]
         lines += [f"{k}={self.params[k]}" for k in sorted(self.params)]
         return "\n".join(lines)
 
@@ -198,7 +217,7 @@ def _exp_coeff(cfg, rng):
 
 def _exp_schedule(cfg, rng):
     p = cfg.params
-    J, alpha = int(p.get("j", p.get("J", 4))), float(p["alpha"])
+    J, alpha = int(p.get("j", 4)), float(p["alpha"])
     M, d = int(p.get("m", 2)), int(p.get("d", 1))
     a = coeff.matrix_AJ(J, alpha)
     sched = coeff.exponent_schedule(J, M, alpha, d)
@@ -436,9 +455,10 @@ def main(argv=None) -> int:
         cfg = load_config(ns.config)
         return run(cfg, no_cache=ns.no_cache)
 
+    # INI keys come back lower-cased from configparser; argv keys match them
     skip = {"command", "seed", "output", "format", "no_cache"}
     params = {
-        k: str(v) for k, v in vars(ns).items()
+        k.lower(): str(v) for k, v in vars(ns).items()
         if k not in skip and v is not None and v is not False
     }
     cfg = RunConfig(

@@ -4,7 +4,13 @@ The fractional Schrodinger operator H_V = (-Delta)^{alpha/2} + V is
 discretized on a periodic box [-L, L]^d in the Fourier basis: the free part
 is the diagonal multiplier |xi_k|^alpha with xi_k = pi k / L, and V couples
 modes through (2L)^{-d} Vhat(xi_k - xi_l) (periodization of V onto the
-torus).  One dense symmetric eigendecomposition serves every time t, and
+torus).  The mode set k = -(N/2 - 1) .. N/2 - 1 per axis, (N-1)^d modes, is
+closed under k -> -k, and the couplings are gathered from one table of Vhat
+over the (2N-3)^d lattice differences.  One eigendecomposition serves every
+time t.  When V is centred (even in every coordinate), H commutes with each
+axis reflection and is solved as its 2^d even/odd sectors, each a real
+symmetric block about 2^{-d} the size of H; any other V is one dense
+Hermitian solve.  Then
 
     curve(t) = Tr(exp(-t H_V)) - Tr(exp(-t H_alpha))
 
@@ -68,11 +74,15 @@ class SpectralGrid:
 
     @property
     def size(self) -> int:
-        return self.N**self.d
+        return (self.N - 1) ** self.d
 
     def frequencies(self) -> np.ndarray:
-        """All mode frequencies as an (N^d, d) array, xi_k = pi k / L."""
-        k = np.arange(-self.N // 2, self.N // 2)
+        """All mode frequencies as an ((N-1)^d, d) array, xi_k = pi k / L.
+
+        k = -(N/2 - 1) .. N/2 - 1 per axis: the unpaired Nyquist mode is
+        dropped so the mode set is closed under k -> -k.
+        """
+        k = np.arange(1 - self.N // 2, self.N // 2)
         if self.d == 1:
             return (math.pi / self.L) * k[:, None].astype(float)
         kx, ky = np.meshgrid(k, k, indexing="ij")
@@ -117,44 +127,84 @@ def _periodization_check(V, grid: SpectralGrid) -> None:
         )
 
 
+def _fourier_table(grid: SpectralGrid, V) -> np.ndarray:
+    """(2L)^{-d} Vhat on the (2N-3)^d lattice differences xi_k - xi_l.
+
+    Entry j (per axis) holds the difference k - l = j - (N - 2).
+    """
+    j = (math.pi / grid.L) * np.arange(2 - grid.N, grid.N - 1, dtype=float)
+    if grid.d == 1:
+        pts = j[:, None]
+    else:
+        pts = np.stack(np.meshgrid(j, j, indexing="ij"), axis=-1)
+    return V.fourier(pts) / (2.0 * grid.L) ** grid.d
+
+
 def build_hamiltonian(grid: SpectralGrid, alpha: float, V=None) -> np.ndarray:
     """Dense matrix of H_V in the Fourier basis.
 
     Diagonal |xi_k|^alpha + (2L)^{-d} Vhat(0); off-diagonal (k, l) entry
-    (2L)^{-d} Vhat(xi_k - xi_l).  Real symmetric for even real V, Hermitian
-    (after symmetrization) otherwise.
+    (2L)^{-d} Vhat(xi_k - xi_l), gathered from one table of Vhat over the
+    lattice differences.  Real symmetric for even real V, Hermitian
+    otherwise (Vhat(-xi) = conj Vhat(xi) for real V).
     """
     if grid.size > _MAX_DENSE:
-        raise ValueError(f"N^d = {grid.size} exceeds the dense-solve cap {_MAX_DENSE}")
+        raise ValueError(f"(N-1)^d = {grid.size} exceeds the dense-solve cap {_MAX_DENSE}")
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"alpha={alpha} outside (0, 2]")
     mult = free_multipliers(grid, alpha)
     if V is None:
         return np.diag(mult)
     _periodization_check(V, grid)
-    xi = grid.frequencies()
-    vol = (2.0 * grid.L) ** grid.d
-    n = grid.size
-    centered = not np.any(V.x0)
-    H = np.empty((n, n), dtype=float if centered else complex)
-    block = max(1, (1 << 22) // (n * grid.d))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = xi[i0:i1, None, :] - xi[None, :, :]
-        H[i0:i1] = V.fourier(diff) / vol
-    if centered:
-        H = 0.5 * (H + H.T)
+    table = _fourier_table(grid, V)
+    idx = np.arange(grid.N - 1)
+    diff = idx[:, None] - idx[None, :] + (grid.N - 2)
+    if grid.d == 1:
+        H = table[diff]
     else:
-        H = 0.5 * (H + H.conj().T)
-    H[np.diag_indices(n)] += mult
+        # (kx, ky, lx, ly) -> table[kx - lx, ky - ly], flattened row-major
+        H = table[diff[:, None, :, None], diff[None, :, None, :]].reshape(grid.size, grid.size)
+    H[np.diag_indices(grid.size)] += mult
     return H
+
+
+def _parity_blocks(H: np.ndarray, grid: SpectralGrid) -> list:
+    """Fold H of a V even in every coordinate into its 2^d reflection sectors.
+
+    Per axis, with the modes k >= 0 first, G = H[k, l] and F = H[k, -l]
+    (k, l >= 0); the even block is D (G + F) D with D = diag(1/sqrt 2, 1,
+    ...) and the odd block is (G - F) restricted to k, l >= 1.  Both are
+    orthogonal restrictions of H, so their spectra together are H's.
+    """
+    n, d = grid.N - 1, grid.d
+    m = n // 2  # position of k = 0
+    blocks = [H.reshape((n,) * (2 * d))]
+    for ax in range(d):
+        folded = []
+        for B in blocks:
+            B = np.moveaxis(B, (ax, d + ax), (0, 1))
+            G, F = B[m:, m:], B[m:, m::-1]
+            even = G + F
+            even[0] *= math.sqrt(0.5)
+            even[:, 0] *= math.sqrt(0.5)
+            odd = (G - F)[1:, 1:]
+            folded += [np.moveaxis(X, (0, 1), (ax, d + ax)) for X in (even, odd)]
+        blocks = folded
+    return [B.reshape(math.prod(B.shape[:d]), -1) for B in blocks]
+
+
+def _spectrum(grid: SpectralGrid, alpha: float, V) -> np.ndarray:
+    """Ascending eigenvalues of H_V; per reflection sector when V is centred."""
+    H = build_hamiltonian(grid, alpha, V)
+    if V is not None and np.any(V.x0):
+        return np.linalg.eigvalsh(H)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in _parity_blocks(H, grid)]))
 
 
 def operator_spectrum(grid: SpectralGrid, alpha: float, V=None) -> OperatorSpectrum:
     if V is None:
         return OperatorSpectrum(np.sort(free_multipliers(grid, alpha)), "free")
-    H = build_hamiltonian(grid, alpha, V)
-    return OperatorSpectrum(np.linalg.eigvalsh(H), "perturbed")
+    return OperatorSpectrum(_spectrum(grid, alpha, V), "perturbed")
 
 
 @dataclass(frozen=True)
@@ -173,7 +223,7 @@ def _curve_arrays(V, alpha, grid, t_grid, normalization):
     if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
         raise ValueError("t values must lie in (0, 1)")
     free = free_multipliers(grid, alpha)
-    mu = np.linalg.eigvalsh(build_hamiltonian(grid, alpha, V))
+    mu = _spectrum(grid, alpha, V)
     trace_pert = np.exp(-np.outer(t_grid, mu)).sum(axis=1)
     trace_free = np.exp(-np.outer(t_grid, free)).sum(axis=1)
     values = trace_pert - trace_free

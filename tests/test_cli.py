@@ -4,6 +4,7 @@ import math
 import pytest
 
 from fracheat import cli
+from fracheat import coefficients as coeff
 from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
 
@@ -95,6 +96,50 @@ def test_schedule_emits_matrix(tmp_path, capsys):
     payload = _read_result(tmp_path)
     assert payload["matrix"][4] == [6.0, 7.0, 8.0, 9.0, 10.0]
     assert payload["validity"]["max_M"] >= 1
+
+
+def test_schedule_honours_M(tmp_path):
+    assert run_cli(["schedule", "--J", "6", "--alpha", "1.0", "--M", "1", "--seed", "0"],
+                   tmp_path) == 0
+    payload = _read_result(tmp_path)
+    assert payload["cutoff"] == coeff.phi_exponent(6, 1, 1.0)
+    assert payload["cutoff"] != coeff.phi_exponent(6, 2, 1.0)
+
+
+def test_trace_honours_L(tmp_path):
+    assert run_cli(
+        ["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--L", "10",
+         "--n-modes", "128", "--points", "4", "--refine", "false", "--seed", "0"],
+        tmp_path,
+    ) == 0
+    assert _read_result(tmp_path)["meta"]["L"] == 10.0
+
+
+def _manifest(root):
+    (d,) = [p for p in root.iterdir() if p.is_dir()]
+    return json.loads((d / "manifest.json").read_text())
+
+
+def test_argv_and_ini_hash_alike(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["schedule", "--J", "5", "--alpha", "1.5", "--M", "1", "--d", "1",
+                     "--seed", "4", "--output", str(a)]) == 0
+    ini = tmp_path / "schedule.ini"
+    ini.write_text(f"[schedule]\nJ = 5\nalpha = 1.5\nM = 1\nd = 1\nseed = 4\n"
+                   f"output = {b}\n")
+    assert cli.main(["run", "--config", str(ini)]) == 0
+    assert _manifest(a)["config_hash"] == _manifest(b)["config_hash"]
+
+
+def test_code_change_invalidates_cache(tmp_path, monkeypatch, capsys):
+    args = ["schedule", "--J", "4", "--alpha", "1.0", "--seed", "1"]
+    assert run_cli(args, tmp_path) == 0
+    assert run_cli(args, tmp_path) == 0
+    assert "cached" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 16)
+    assert run_cli(args, tmp_path) == 0
+    assert "cached" not in capsys.readouterr().out
+    assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 2
 
 
 def test_constants_analytic_path(tmp_path):

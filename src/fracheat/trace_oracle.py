@@ -245,13 +245,14 @@ def trace_difference_curve(
     """Trace-difference curve over the full discrete spectra.
 
     The sanity ratio of the discrete free trace to (2L)^d p_t(0) at the
-    largest t is reported in ``meta['free_match_rel']`` and triggers a
-    warning beyond 1e-3 (the continuum normalization is untrustworthy
-    there; the free normalization does not rely on it).
+    largest t is reported in ``meta['free_match_rel']`` under either
+    normalization.  Beyond 1e-3 it triggers a warning under the continuum
+    normalization, which is untrustworthy there; the free normalization
+    does not rely on the ratio and stays silent.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     values, normalized, free_match = _curve_arrays(V, alpha, grid, t_grid, normalization)
-    if free_match > 1e-3:
+    if normalization == "continuum" and free_match > 1e-3:
         warnings.warn(
             f"discrete free trace misses (2L)^d p_t(0) by {free_match:.2e} at "
             f"t={t_grid[-1]:.3g}; grid too coarse for continuum normalization there",

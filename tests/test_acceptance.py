@@ -21,10 +21,14 @@ def test_criterion(criterion):
 
 
 def test_seed_robustness_spot_checks():
-    # a different seed must not flip the cheap stochastic criteria
+    # a different seed must not flip the seeded criteria
     for fn in (
         acceptance.criterion_01_moment_identity,
+        acceptance.criterion_05_robustness_trend,
         acceptance.criterion_06_coefficient_convention,
+        acceptance.criterion_07_cross_pipeline,
+        acceptance.criterion_08_trace_expansion,
+        acceptance.criterion_09_exponent_exactness,
         acceptance.criterion_10_tail_bound,
         acceptance.criterion_11_relativistic_mixed,
     ):

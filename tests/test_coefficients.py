@@ -97,6 +97,30 @@ def test_constant_reproducibility():
     assert a == b
 
 
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_sorted_simplex_equals_sort(j):
+    got = coeff._sorted_simplex(rng(5), 10_001, j)
+    want = np.sort(rng(5).uniform(0.0, 1.0, (10_001, j)), axis=1)[:, ::-1]
+    assert np.array_equal(got, want)
+
+
+# Values and stderrs of two estimates at a fixed seed, recorded with the
+# unblocked, np.sin-based Kanter transform that preceded the half-angle,
+# row-blocked one.  The sample count is a multiple of neither the chunk nor
+# the block size, so the partial last chunk and block are both exercised.
+PINNED_N = 2**20 + 3 * 2**14 + 77
+PINNED_K3 = (0.03750484443862226, 1.253807030004014e-05)
+PINNED_C12 = (0.14436096735940726, 0.0001694151679751642)
+
+
+def test_same_seed_same_estimates():
+    k3 = coeff.mc_constant_K("K3", 1, 1.8, PINNED_N, rng(31415))
+    mix = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
+    c12 = coeff.mc_coefficient_Cnj(mix, 1, 2, 1, 1.8, PINNED_N, rng(27182))
+    assert (k3.value, k3.stderr) == pytest.approx(PINNED_K3, rel=1e-12, abs=0.0)
+    assert (c12.value, c12.stderr) == pytest.approx(PINNED_C12, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # full coefficients
 

@@ -15,6 +15,36 @@ def rng(seed=0):
 # stable sampler
 
 
+@pytest.mark.parametrize("rho", [0.25, 0.5, 0.9, 0.975])
+def test_kanter_log_matches_sine_reference(rho):
+    # the half-angle form of log sin against np.sin, over (0, pi) including
+    # points within 1e-12 of both ends; the smallest end is the smallest
+    # nonzero uniform rng.uniform(0, pi) can return
+    ends = np.array([np.pi * 2.0**-53, 1e-15, 1e-12, 1e-9, 1e-6])
+    u = np.concatenate([ends, rng(1).uniform(0.0, np.pi, 20000),
+                        np.pi - ends[2:], [np.nextafter(np.pi, 0.0)]])
+    e = rng(2).standard_exponential(u.size)
+    ref_a = (
+        (rho / (1.0 - rho)) * np.log(np.sin(rho * u))
+        + np.log(np.sin((1.0 - rho) * u))
+        - np.log(np.sin(u)) / (1.0 - rho)
+    )
+    ref = ((1.0 - rho) / rho) * (ref_a - np.log(e))
+    got = sub._kanter_log(rho, u, e)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(np.exp(got), np.exp(ref), rtol=1e-13, atol=0.0)
+
+
+def test_kanter_blocks_match_one_shot():
+    # the blocked transform equals the transform of the whole batch, also
+    # with a partial last block and for a 2-D batch
+    n = 2 * sub._BLOCK + 123
+    u = rng(3).uniform(0.0, np.pi, (n, 3))
+    e = rng(4).standard_exponential((n, 3))
+    whole = np.exp(sub._kanter_log(0.9, u, e))
+    assert np.array_equal(sub._kanter_unit(0.9, u, e), whole)
+
+
 def test_alpha2_is_deterministic():
     assert sub.sample_stable(2.0, 0.7, rng()) == 0.7
     assert np.all(sub.sample_stable(2.0, 0.7, rng(), size=5) == 0.7)

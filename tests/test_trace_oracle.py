@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,9 +201,16 @@ def test_convergence_gates_small():
 
 
 def test_free_match_warning_on_coarse_grid():
+    # the mismatch is data under both normalizations, a warning only under
+    # the continuum one, the only normalization that relies on it
     grid = oracle.SpectralGrid(1, 40.0, 64)
+    tg = np.geomspace(1e-3, 1e-1, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        free = oracle.trace_difference_curve(WELL, 1.0, grid, tg)
     with pytest.warns(UserWarning, match="free trace"):
-        oracle.trace_difference_curve(WELL, 1.0, grid, np.geomspace(1e-3, 1e-1, 6))
+        cont = oracle.trace_difference_curve(WELL, 1.0, grid, tg, normalization="continuum")
+    assert free.meta["free_match_rel"] == cont.meta["free_match_rel"] > 1e-3
 
 
 def test_continuum_normalization_option():

@@ -20,13 +20,11 @@ Subpackages by concern:
 __version__ = "0.1.0"
 
 from .coefficients import (  # noqa: F401
-    CoefficientEstimate,
     ExponentSchedule,
     ValidityReport,
     constant_L,
     constant_M,
     constant_N,
-    eval_Lj,
     exponent_schedule,
     matrix_AJ,
     mc_coefficient_Cnj,
@@ -36,7 +34,7 @@ from .coefficients import (  # noqa: F401
     validate_params,
 )
 from .heat_kernel import (  # noqa: F401
-    MCEstimate,
+    Estimate,
     kernel_at_zero,
     kernel_value,
     mixed_kernel_at_zero,
@@ -44,8 +42,6 @@ from .heat_kernel import (  # noqa: F401
 )
 from .potential import GaussianMixturePotential, GaussianPotential  # noqa: F401
 from .subordinator import (  # noqa: F401
-    IncrementPartition,
-    StableIndex,
     SubordinatorSpec,
     density_half,
     sample_increments,

@@ -11,7 +11,9 @@ unless --no-cache is given, and a hash collision with a differing stored
 config is a hard error.
 
 Config files are flat INI: one section named after the experiment, plain
-key = value pairs, no nesting.
+key = value pairs, no nesting.  Argv and INI parameters are resolved through
+one table per subcommand (:data:`PARAMS`): defaults filled in, values typed,
+unknown or missing keys refused, so both routes hash alike.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,119 @@ def _code_digest() -> str:
     return h.hexdigest()[:16]
 
 
+# ---------------------------------------------------------------------------
+# parameter tables
+
+REQUIRED = object()
+_BOOLEAN = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _boolean(value) -> bool:
+    return _BOOLEAN[str(value).strip().lower()]
+
+
+def _floats(value) -> tuple:
+    # a space-separated list of numbers, e.g. --t "0.1 0.5"
+    return tuple(float(u) for u in (value.split() if isinstance(value, str) else value))
+
+
+def _text(value) -> str:
+    # the string a hash, a manifest and a config file hold for a value
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+class Param(NamedTuple):
+    """A parameter: flag, type, default (REQUIRED, None if optional) and help.
+
+    A boolean that defaults to False is a switch (``--fit``); one that
+    defaults to True takes a value (``--refine false``).
+    """
+
+    flag: str
+    type: object
+    default: object = REQUIRED
+    help: str = ""
+
+
+def _key(flag: str) -> str:
+    # configparser lower-cases INI keys; argv keys are made to match
+    return flag[2:].replace("-", "_").lower()
+
+
+ALPHA = Param("--alpha", float, help="stability index alpha")
+D = Param("--d", int, 1, "dimension")
+POTENTIAL = Param("--potential", str, help="gaussian:c=1,s=1[,x0=0.5], ';' between bumps")
+SAMPLES = Param("--samples", int, 10**6, "Monte Carlo samples")
+MC_N = Param("--n", int, 10**6, "Monte Carlo samples")
+
+#: subcommand -> (help, parameters)
+PARAMS = {
+    "sample": ("draw subordinator samples; csv output is one sample per line", (
+        Param("--family", str, "stable", "stable, relativistic or mixed"), ALPHA,
+        Param("--m", float, None, "mass (relativistic)"),
+        Param("--beta", float, None, "second index (mixed)"),
+        Param("--a", float, None, "weight of the second index (mixed)"),
+        Param("--t", float, 1.0, "time"), Param("--n", int, 1000, "number of samples"))),
+    "moments": ("empirical vs exact moments of S_1; csv columns: "
+                "alpha, eta, empirical, stderr, exact, z", (
+        ALPHA, Param("--eta", _floats, "-0.5", "moment orders"), MC_N)),
+    "kernel": ("stable heat-kernel values; csv columns: d, alpha, t, x, value", (
+        D, ALPHA, Param("--t", _floats, "1.0", "times"),
+        Param("--x", _floats, "0.0", "distances from the origin"))),
+    "constants": ("K1/K2/K3 and the L/M/N prefactors", (
+        Param("--which", str.upper, help="K1, K2, K3, L, M or N"), D, ALPHA, MC_N,
+        Param("--analytic", _boolean, False, "quadrature path (alpha = 2 only)"))),
+    "coeff": ("Monte Carlo expansion coefficient C_{n,j}(V)", (
+        Param("--n-index", int, help="power n of L_j"), Param("--j", int, help="order j"),
+        D, ALPHA, POTENTIAL, SAMPLES)),
+    "schedule": ("exponent matrix A_J(alpha), schedule entries, validity", (
+        Param("--J", int, 4, "largest order J"), ALPHA,
+        Param("--M", int, 2, "Taylor order M"), D)),
+    "trace": ("spectral trace-difference curve; csv columns: t, raw, normalized", (
+        D, ALPHA, POTENTIAL, Param("--L", float, 40.0, "half-width of the box"),
+        Param("--n-modes", int, 1024, "modes per axis"),
+        Param("--tmin", float, 1e-3, "first time"), Param("--tmax", float, 1e-1, "last time"),
+        Param("--points", int, 40, "number of times"),
+        Param("--fit", _boolean, False, "fit the expansion"),
+        Param("--exponents", _floats, "1 2 3 4", "exponents of the fit"),
+        Param("--refine", _boolean, True, "Richardson pair over mode doubling"))),
+    "relativistic": ("relativistic kernel at zero by Monte Carlo", (
+        D, ALPHA, Param("--m", float, help="mass"), Param("--t", float, 0.5, "time"),
+        SAMPLES)),
+    "mixed": ("mixed-stable kernel at zero by Monte Carlo", (
+        D, ALPHA, Param("--beta", float, help="second index"),
+        Param("--a", float, help="weight of the second index"),
+        Param("--t", float, 0.5, "time"), SAMPLES)),
+    "acceptance": ("run the acceptance criteria (nonzero exit on failure)", (
+        Param("--only", str, None, "criteria to run, e.g. '02 12'"),)),
+}
+
+
+def _resolve(experiment: str, given: dict) -> dict:
+    """The parameters of ``experiment`` at their types, defaults filled in.
+
+    Raises ValueError for an unknown experiment, an unknown key, a missing
+    required key or a value its type rejects.
+    """
+    if experiment not in PARAMS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    table = {_key(p.flag): p for p in PARAMS[experiment][1]}
+    unknown = sorted(set(given) - set(table))
+    missing = [k for k, p in table.items() if k not in given and p.default is REQUIRED]
+    for what, keys in (("unknown", unknown), ("missing required", missing)):
+        if keys:
+            raise ValueError(f"{experiment}: {what} parameter(s): {', '.join(keys)}")
+    out = {}
+    for key, p in table.items():
+        value = given.get(key, p.default)
+        try:
+            if value is not None:
+                out[key] = p.type(value)
+        except (LookupError, TypeError, ValueError):
+            raise ValueError(f"{experiment}: bad value {value!r} for {key}") from None
+    return out
+
+
 @dataclass
 class RunConfig:
     experiment: str
@@ -64,10 +180,17 @@ class RunConfig:
     output: str | None = None
     fmt: str = "json"
 
+    def __post_init__(self):
+        self.params = _resolve(self.experiment, self.params)
+
+    def text_params(self) -> dict:
+        """The parameters as the strings hashes, manifests and config files hold."""
+        return {k: _text(self.params[k]) for k in sorted(self.params)}
+
     def canonical(self) -> str:
         lines = [f"experiment={self.experiment}", f"code={_code_digest()}",
                  f"seed={self.seed}", f"format={self.fmt}"]
-        lines += [f"{k}={self.params[k]}" for k in sorted(self.params)]
+        lines += [f"{k}={v}" for k, v in self.text_params().items()]
         return "\n".join(lines)
 
     @property
@@ -77,7 +200,7 @@ class RunConfig:
 
 def save_config(cfg: RunConfig, path: str) -> None:
     ini = configparser.ConfigParser()
-    section = dict(cfg.params)
+    section = cfg.text_params()
     section["seed"] = str(cfg.seed)
     section["format"] = cfg.fmt
     if cfg.output:
@@ -127,33 +250,29 @@ def parse_potential(spec: str, d: int = 1):
 
 def _exp_sample(cfg, rng):
     p = cfg.params
-    family = p.get("family", "stable")
-    t = float(p.get("t", 1.0))
-    n = int(p.get("n", 1000))
-    alpha = float(p["alpha"])
-    if family == "stable":
-        s = sub.sample_stable(alpha, t, rng, size=n)
-    elif family == "relativistic":
-        s = sub.sample_relativistic(alpha, float(p["m"]), t, rng, size=n)
-    elif family == "mixed":
-        s = sub.sample_mixed(alpha, float(p["beta"]), float(p["a"]), t, rng, size=n)
-    else:
+    family = p["family"]
+    # the parameters each family takes besides alpha
+    uses = {"stable": (), "relativistic": ("m",), "mixed": ("beta", "a")}.get(family)
+    if uses is None:
         raise ValueError(f"unknown family {family!r}")
+    for key in ("m", "beta", "a"):
+        if (key in p) != (key in uses):
+            verb = "does not use" if key in p else "needs"
+            raise ValueError(f"family {family} {verb} --{key}")
+    spec = getattr(sub.SubordinatorSpec, family)(p["alpha"], *(p[k] for k in uses))
+    s = spec.sample(p["t"], rng, size=p["n"])
     rows = [(float(x),) for x in s]
-    payload = {"family": family, "alpha": alpha, "t": t, "n": n,
+    payload = {"family": family, "alpha": p["alpha"], "t": p["t"], "n": p["n"],
                "mean": float(np.mean(s))}
-    payload.update({k: float(p[k]) for k in ("m", "beta", "a") if k in p})
+    payload.update({k: p[k] for k in uses})
     return payload, rows
 
 
 def _exp_moments(cfg, rng):
-    p = cfg.params
-    alpha = float(p["alpha"])
-    etas = [float(e) for e in str(p.get("eta", "-0.5")).split()]
-    n = int(p.get("n", 10**6))
+    alpha, n = cfg.params["alpha"], cfg.params["n"]
     s = sub.sample_stable(alpha, 1.0, rng, size=n)
     rows, table = [], []
-    for eta in etas:
+    for eta in cfg.params["eta"]:
         x = s**eta
         mean, se = float(x.mean()), float(x.std(ddof=1) / np.sqrt(n))
         exact = sub.stable_moment(alpha, eta)
@@ -166,24 +285,19 @@ def _exp_moments(cfg, rng):
 
 def _exp_kernel(cfg, rng):
     p = cfg.params
-    d, alpha = int(p.get("d", 1)), float(p["alpha"])
-    ts = [float(u) for u in str(p.get("t", "1.0")).split()]
-    xs = [float(u) for u in str(p.get("x", "0.0")).split()]
+    d, alpha = p["d"], p["alpha"]
     rows = []
-    for t in ts:
-        for x in xs:
+    for t in p["t"]:
+        for x in p["x"]:
             rows.append((d, alpha, t, x, hk.kernel_value(d, alpha, t, x)))
     return {"rows": [dict(zip(("d", "alpha", "t", "x", "value"), r)) for r in rows]}, rows
 
 
 def _exp_constants(cfg, rng):
     p = cfg.params
-    which, d = p["which"].upper(), int(p.get("d", 1))
-    alpha = float(p["alpha"])
-    n = int(p.get("n", 10**6))
-    analytic = str(p.get("analytic", "false")).lower() in ("1", "true", "yes")
+    which, d, alpha, n = p["which"], p["d"], p["alpha"], p["n"]
     if which in ("K1", "K2", "K3"):
-        if analytic or alpha == 2.0:
+        if p["analytic"] or alpha == 2.0:
             if alpha != 2.0:
                 raise ValueError("the analytic quadrature path requires alpha = 2")
             val = coeff.deterministic_constant_K(which, d)
@@ -193,32 +307,29 @@ def _exp_constants(cfg, rng):
             est = coeff.mc_constant_K(which, d, alpha, n, rng)
             out = {"which": which, "d": d, "alpha": alpha, "value": est.value,
                    "stderr": est.stderr, "n_samples": n, "path": "mc"}
-    else:
+    elif which in ("L", "M", "N"):
         fn = {"L": coeff.constant_L, "M": coeff.constant_M, "N": coeff.constant_N}[which]
         est = fn(d, alpha, n, rng)
         out = {"which": which, "d": d, "alpha": alpha, "value": est.value,
                "stderr": est.stderr, "n_samples": est.n_samples,
                "path": est.params.get("path", "mc")}
+    else:
+        raise ValueError(f"unknown constant {which!r}")
     return out, None
 
 
 def _exp_coeff(cfg, rng):
     p = cfg.params
-    d = int(p.get("d", 1))
-    v = parse_potential(p["potential"], d=d)
-    est = coeff.mc_coefficient_Cnj(
-        v, int(p["n_index"]), int(p["j"]), d, float(p["alpha"]),
-        int(p.get("samples", 10**6)), rng,
-    )
-    return {"n": int(p["n_index"]), "j": int(p["j"]), "d": d,
-            "alpha": float(p["alpha"]), "value": est.value,
-            "stderr": est.stderr, "n_samples": est.n_samples}, None
+    v = parse_potential(p["potential"], d=p["d"])
+    est = coeff.mc_coefficient_Cnj(v, p["n_index"], p["j"], p["d"], p["alpha"],
+                                   p["samples"], rng)
+    return {"n": p["n_index"], "j": p["j"], "d": p["d"], "alpha": p["alpha"],
+            "value": est.value, "stderr": est.stderr, "n_samples": est.n_samples}, None
 
 
 def _exp_schedule(cfg, rng):
     p = cfg.params
-    J, alpha = int(p.get("j", 4)), float(p["alpha"])
-    M, d = int(p.get("m", 2)), int(p.get("d", 1))
+    J, alpha, M, d = p["j"], p["alpha"], p["m"], p["d"]
     a = coeff.matrix_AJ(J, alpha)
     sched = coeff.exponent_schedule(J, M, alpha, d)
     if alpha < 2.0:
@@ -240,34 +351,27 @@ def _exp_schedule(cfg, rng):
 
 def _exp_trace(cfg, rng):
     p = cfg.params
-    d = int(p.get("d", 1))
-    v = parse_potential(p["potential"], d=d)
-    alpha = float(p["alpha"])
-    grid = oracle.SpectralGrid(d, float(p.get("l", 40.0)), int(p.get("n_modes", 1024)))
-    tg = np.geomspace(float(p.get("tmin", 1e-3)), float(p.get("tmax", 1e-1)),
-                      int(p.get("points", 40)))
-    refine = str(p.get("refine", "true")).lower() not in ("0", "false", "no")
-    if refine:
-        curve = oracle.extrapolated_trace_curve(v, alpha, grid, tg)
+    v = parse_potential(p["potential"], d=p["d"])
+    grid = oracle.SpectralGrid(p["d"], p["l"], p["n_modes"])
+    tg = np.geomspace(p["tmin"], p["tmax"], p["points"])
+    if p["refine"]:
+        curve = oracle.extrapolated_trace_curve(v, p["alpha"], grid, tg)
     else:
-        curve = oracle.trace_difference_curve(v, alpha, grid, tg)
+        curve = oracle.trace_difference_curve(v, p["alpha"], grid, tg)
     rows = oracle.trace_curve_to_rows(curve)
     payload = {"meta": {k: v2 for k, v2 in curve.meta.items()},
                "t": [r[0] for r in rows],
                "raw": [r[1] for r in rows],
                "normalized": [r[2] for r in rows]}
-    if str(p.get("fit", "false")).lower() in ("1", "true", "yes"):
-        exps = [float(u) for u in str(p.get("exponents", "1 2 3 4")).split()]
-        fit = oracle.fit_expansion(curve, exps)
+    if p["fit"]:
+        fit = oracle.fit_expansion(curve, list(p["exponents"]))
         payload["fit"] = oracle.expansion_fit_to_dict(fit)
     return payload, rows
 
 
 def _exp_relativistic(cfg, rng):
     p = cfg.params
-    d, alpha, m, t = (int(p.get("d", 1)), float(p["alpha"]),
-                      float(p["m"]), float(p.get("t", 0.5)))
-    n = int(p.get("samples", 10**6))
+    d, alpha, m, t, n = p["d"], p["alpha"], p["m"], p["t"], p["samples"]
     est = hk.relativistic_kernel_at_zero(d, alpha, m, t, n, rng)
     return {"d": d, "alpha": alpha, "m": m, "t": t,
             "kernel_at_zero": est.value, "stderr": est.stderr,
@@ -276,10 +380,7 @@ def _exp_relativistic(cfg, rng):
 
 def _exp_mixed(cfg, rng):
     p = cfg.params
-    d = int(p.get("d", 1))
-    alpha, beta, a = float(p["alpha"]), float(p["beta"]), float(p["a"])
-    t = float(p.get("t", 0.5))
-    n = int(p.get("samples", 10**6))
+    d, alpha, beta, a, t, n = p["d"], p["alpha"], p["beta"], p["a"], p["t"], p["samples"]
     est = hk.mixed_kernel_at_zero(d, alpha, beta, a, t, n, rng)
     return {"d": d, "alpha": alpha, "beta": beta, "a": a, "t": t,
             "kernel_at_zero": est.value, "stderr": est.stderr,
@@ -322,9 +423,6 @@ def _output_root(cfg: RunConfig) -> str:
 
 def run(cfg: RunConfig, no_cache: bool = False) -> int:
     """Execute a config: write result + manifest, honoring the result cache."""
-    if cfg.experiment not in EXPERIMENTS:
-        print(f"unknown experiment {cfg.experiment!r}", file=sys.stderr)
-        return 2
     root = _output_root(cfg)
     outdir = os.path.join(root, f"{cfg.experiment}-{cfg.hash}")
     manifest_path = os.path.join(outdir, "manifest.json")
@@ -337,7 +435,6 @@ def run(cfg: RunConfig, no_cache: bool = False) -> int:
         if not no_cache:
             print(f"cached: {outdir}")
             return 0 if manifest.get("exit_status", 0) == 0 else 1
-    os.makedirs(outdir, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.time()
     try:
@@ -348,6 +445,7 @@ def run(cfg: RunConfig, no_cache: bool = False) -> int:
     status = 0
     if cfg.experiment == "acceptance" and not payload.get("all_passed", True):
         status = 1
+    os.makedirs(outdir, exist_ok=True)
     result_path = os.path.join(outdir, f"result.{cfg.fmt}")
     if cfg.fmt == "csv" and rows is not None:
         with open(result_path, "w", newline="") as fh:
@@ -362,7 +460,7 @@ def run(cfg: RunConfig, no_cache: bool = False) -> int:
         "config_hash": cfg.hash,
         "canonical_config": cfg.canonical(),
         "seed": cfg.seed,
-        "params": dict(cfg.params),
+        "params": cfg.text_params(),
         "format": cfg.fmt,
         "versions": {
             "fracheat": __version__,
@@ -396,76 +494,33 @@ def main(argv=None) -> int:
         description="Numerical laboratory for fractional heat-trace expansions.",
     )
     sps = ap.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "sample": [("--family", str, "stable"), ("--alpha", float, None),
-                   ("--m", float, None), ("--beta", float, None), ("--a", float, None),
-                   ("--t", float, 1.0), ("--n", int, 1000)],
-        "moments": [("--alpha", float, None), ("--eta", str, "-0.5"),
-                    ("--n", int, 10**6)],
-        "kernel": [("--d", int, 1), ("--alpha", float, None), ("--t", str, "1.0"),
-                   ("--x", str, "0.0")],
-        "constants": [("--which", str, None), ("--d", int, 1), ("--alpha", float, None),
-                      ("--n", int, 10**6), ("--analytic", bool, False)],
-        "coeff": [("--n-index", int, None), ("--j", int, None), ("--d", int, 1),
-                  ("--alpha", float, None), ("--potential", str, None),
-                  ("--samples", int, 10**6)],
-        "schedule": [("--J", int, 4), ("--alpha", float, None), ("--M", int, 2),
-                     ("--d", int, 1)],
-        "trace": [("--d", int, 1), ("--alpha", float, None), ("--potential", str, None),
-                  ("--L", float, 40.0), ("--n-modes", int, 1024),
-                  ("--tmin", float, 1e-3), ("--tmax", float, 1e-1),
-                  ("--points", int, 40), ("--fit", bool, False),
-                  ("--exponents", str, "1 2 3 4"), ("--refine", str, "true")],
-        "relativistic": [("--d", int, 1), ("--alpha", float, None), ("--m", float, None),
-                         ("--t", float, 0.5), ("--samples", int, 10**6)],
-        "mixed": [("--d", int, 1), ("--alpha", float, None), ("--beta", float, None),
-                  ("--a", float, None), ("--t", float, 0.5), ("--samples", int, 10**6)],
-        "acceptance": [("--only", str, None)],
-    }
-    helps = {
-        "sample": "draw subordinator samples; csv output is one sample per line",
-        "moments": "empirical vs exact moments of S_1; csv columns: "
-                   "alpha, eta, empirical, stderr, exact, z",
-        "kernel": "stable heat-kernel values; csv columns: d, alpha, t, x, value",
-        "constants": "K1/K2/K3 and the L/M/N prefactors",
-        "coeff": "Monte Carlo expansion coefficient C_{n,j}(V)",
-        "schedule": "exponent matrix A_J(alpha), schedule entries, validity",
-        "trace": "spectral trace-difference curve; csv columns: t, raw, normalized",
-        "relativistic": "relativistic kernel at zero by Monte Carlo",
-        "mixed": "mixed-stable kernel at zero by Monte Carlo",
-        "acceptance": "run the acceptance criteria (nonzero exit on failure)",
-    }
-    for name, args in specs.items():
-        sp = sps.add_parser(name, help=helps[name], description=helps[name])
-        for flag, typ, default in args:
-            if typ is bool:
-                sp.add_argument(flag, action="store_true")
-            else:
-                sp.add_argument(flag, type=typ, default=default,
-                                required=default is None and flag not in ("--m", "--beta", "--a", "--only"))
+    for name, (text, params) in PARAMS.items():
+        sp = sps.add_parser(name, help=text, description=text)
+        for p in params:
+            note = {REQUIRED: "required", None: "optional"}.get(p.default, f"default {p.default}")
+            switch = p.type is _boolean and p.default is False
+            # an absent flag stays absent: the table fills in its default
+            sp.add_argument(p.flag, dest=_key(p.flag), default=argparse.SUPPRESS,
+                            action="store_true" if switch else "store",
+                            help=f"{p.help} ({note})")
         _add_common(sp)
 
     sp = sps.add_parser("run", help="execute a flat INI config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--no-cache", action="store_true")
 
-    ns = ap.parse_args(argv)
-    if ns.command == "run":
-        cfg = load_config(ns.config)
-        return run(cfg, no_cache=ns.no_cache)
-
-    # INI keys come back lower-cased from configparser; argv keys match them
-    skip = {"command", "seed", "output", "format", "no_cache"}
-    params = {
-        k.lower(): str(v) for k, v in vars(ns).items()
-        if k not in skip and v is not None and v is not False
-    }
-    cfg = RunConfig(
-        experiment=ns.command, params=params, seed=ns.seed,
-        output=ns.output, fmt=ns.format,
-    )
-    return run(cfg, no_cache=ns.no_cache)
+    ns = vars(ap.parse_args(argv))
+    command, no_cache = ns.pop("command"), ns.pop("no_cache")
+    try:
+        if command == "run":
+            cfg = load_config(ns["config"])
+        else:
+            cfg = RunConfig(experiment=command, seed=ns.pop("seed"), output=ns.pop("output"),
+                            fmt=ns.pop("format"), params=ns)
+    except ValueError as exc:
+        print(f"fracheat: {exc}", file=sys.stderr)
+        return 2
+    return run(cfg, no_cache=no_cache)
 
 
 if __name__ == "__main__":

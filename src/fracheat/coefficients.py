@@ -22,22 +22,19 @@ with their validity conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .heat_kernel import kernel_at_zero
-from .subordinator import IncrementPartition, _row_blocks, increments_batch
+from .heat_kernel import Estimate, kernel_at_zero
+from .subordinator import _row_blocks, increments_batch
 
 __all__ = [
-    "CoefficientEstimate",
     "ScheduleEntry",
     "ExponentSchedule",
     "ValidityReport",
     "c_d_alpha",
-    "eval_Lj",
-    "eval_Lj_compact",
     "mc_constant_K",
     "deterministic_constant_K",
     "constant_L",
@@ -52,17 +49,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class CoefficientEstimate:
-    value: float
-    stderr: float
-    n_samples: int
-    params: dict = field(default_factory=dict)
-
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= n_sigma * self.stderr
 
 
 @dataclass(frozen=True)
@@ -102,53 +88,16 @@ def c_d_alpha(d: int, alpha: float) -> float:
 # L_j functional
 
 
-def _as_theta(thetas, j: int):
-    th = np.asarray(thetas, dtype=float)
-    if th.ndim == 1:
-        th = th[:, None]
-    if th.shape[0] != j - 1:
-        raise ValueError(f"need {j - 1} theta vectors, got {th.shape[0]}")
-    return th
-
-
-def eval_Lj(partition: IncrementPartition, thetas) -> float:
-    """L_j via the manifestly nonnegative expanded form.
+def _lj_batch(heads, incs, totals, thetas):
+    """L_j for a batch of increments and theta vectors, by the expanded form.
 
     L_j = S_1^{-1} [ head * sum_k inc_k |gamma_k|^2
                      + sum_{r<s} inc_r inc_s |gamma_r - gamma_s|^2 ],
     a sum of nonnegative terms, immune to the cancellation of the compact
-    form near degenerate lambda.
+    form sum_k inc_k |gamma_k|^2 - |sum_k inc_k gamma_k|^2 / S_1 near
+    degenerate lambda.  Shapes: heads and totals (n,), incs (n, j-1),
+    thetas (n, j-1, d); returns (n,).
     """
-    th = _as_theta(thetas, partition.j)
-    gam = np.cumsum(th, axis=0)
-    inc = np.asarray(partition.increments)
-    g2 = (gam**2).sum(axis=1)
-    val = partition.head * float((inc * g2).sum())
-    jm1 = inc.size
-    for r in range(jm1 - 1):
-        cross = ((gam[r] - gam[r + 1 :]) ** 2).sum(axis=1)
-        val += float((inc[r] * inc[r + 1 :] * cross).sum())
-    val /= partition.total
-    if val < 0.0:
-        if val > -1e-12 * (partition.total * g2.sum() + 1e-300):
-            return 0.0
-        raise FloatingPointError(f"L_j came out negative: {val}")
-    return val
-
-
-def eval_Lj_compact(partition: IncrementPartition, thetas) -> float:
-    """L_j by its defining compact form (subtractive; testing only)."""
-    th = _as_theta(thetas, partition.j)
-    gam = np.cumsum(th, axis=0)
-    inc = np.asarray(partition.increments)
-    g2 = (gam**2).sum(axis=1)
-    lead = float((inc * g2).sum())
-    vec = (inc[:, None] * gam).sum(axis=0)
-    return lead - float((vec**2).sum()) / partition.total
-
-
-def _lj_batch(heads, incs, totals, thetas):
-    # thetas: (n, j-1, d);  heads/totals: (n,);  incs: (n, j-1)
     gam = np.cumsum(thetas, axis=1)
     g2 = (gam**2).sum(axis=2)
     val = heads * (incs * g2).sum(axis=1)
@@ -197,7 +146,8 @@ def _sorted_simplex(rng, n, j):
     return out
 
 
-def _mc_accumulate(sample_fn, n_samples):
+def _mc_estimate(sample_fn, n_samples, scale, params) -> Estimate:
+    # scale times the mean of sample_fn's draws, accumulated chunk by chunk
     total = 0.0
     total2 = 0.0
     done = 0
@@ -209,12 +159,12 @@ def _mc_accumulate(sample_fn, n_samples):
         done += m
     mean = total / n_samples
     var = max(total2 - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
-    return mean, math.sqrt(var / n_samples)
+    return Estimate(scale * mean, scale * math.sqrt(var / n_samples), n_samples, params)
 
 
 def mc_constant_K(
     which: str, d: int, alpha: float, n_samples: int, rng: np.random.Generator
-) -> CoefficientEstimate:
+) -> Estimate:
     """Monte Carlo estimate of K1, K2 or K3.
 
     K1 = int_{I_2} E[ S*_{1-w} S*_w / (S*_{1-w}+S*_w)^{1+d/2} ],  w = lam_1-lam_2,
@@ -237,13 +187,7 @@ def mc_constant_K(
         pair = heads * incs[:, 0] + heads * incs[:, 1] + incs[:, 0] * incs[:, 1]
         return pair / totals ** (1.0 + d / 2.0)
 
-    mean, se = _mc_accumulate(sample_fn, n_samples)
-    return CoefficientEstimate(
-        value=vol * mean,
-        stderr=vol * se,
-        n_samples=n_samples,
-        params={"which": which, "d": d, "alpha": alpha},
-    )
+    return _mc_estimate(sample_fn, n_samples, vol, {"which": which, "d": d, "alpha": alpha})
 
 
 def deterministic_constant_K(which: str, d: int) -> float:
@@ -278,32 +222,32 @@ def deterministic_constant_K(which: str, d: int) -> float:
 def _scaled_constant(which, d, alpha, n_samples, rng, factor):
     if alpha == 2.0:
         k = deterministic_constant_K(which, d)
-        return CoefficientEstimate(
+        return Estimate(
             value=factor * k, stderr=0.0, n_samples=0,
             params={"which": which, "d": d, "alpha": alpha, "path": "quadrature"},
         )
     est = mc_constant_K(which, d, alpha, n_samples, rng)
-    return CoefficientEstimate(
+    return Estimate(
         value=factor * est.value, stderr=factor * est.stderr,
         n_samples=n_samples, params=est.params,
     )
 
 
-def constant_L(d, alpha, n_samples, rng) -> CoefficientEstimate:
+def constant_L(d, alpha, n_samples, rng) -> Estimate:
     """L_{d,alpha} = C_{d,alpha} K1 / (2 pi)^d, the t^{2+2/alpha} prefactor:
     C_{1,2}(V) = L_{d,alpha} int |grad V|^2.  Tends to 1/12 as alpha -> 2."""
     factor = c_d_alpha(d, alpha) / (2.0 * math.pi) ** d
     return _scaled_constant("K1", d, alpha, n_samples, rng, factor)
 
 
-def constant_N(d, alpha, n_samples, rng) -> CoefficientEstimate:
+def constant_N(d, alpha, n_samples, rng) -> Estimate:
     """N_{d,alpha} = C_{d,alpha} K2 / (2 (2 pi)^d):
     C_{2,2}(V) = N_{d,alpha} int |Delta V|^2.  Tends to 1/120 as alpha -> 2."""
     factor = c_d_alpha(d, alpha) / (2.0 * (2.0 * math.pi) ** d)
     return _scaled_constant("K2", d, alpha, n_samples, rng, factor)
 
 
-def constant_M(d, alpha, n_samples, rng) -> CoefficientEstimate:
+def constant_M(d, alpha, n_samples, rng) -> Estimate:
     """M_{d,alpha} = 2 C_{d,alpha} K3 / (2 pi)^d, the t^{3+2/alpha} prefactor:
     C_{1,3}(V) = M_{d,alpha} int V |grad V|^2.  Tends to 1/12 as alpha -> 2.
 
@@ -322,7 +266,7 @@ def constant_M(d, alpha, n_samples, rng) -> CoefficientEstimate:
 
 def mc_coefficient_Cnj(
     V, n: int, j: int, d: int, alpha: float, n_samples: int, rng: np.random.Generator
-) -> CoefficientEstimate:
+) -> Estimate:
     """Importance-sampled Monte Carlo estimate of C_{n,j}(V).
 
     lam is uniform on the simplex I_j; each theta_i is drawn from the
@@ -347,8 +291,7 @@ def mc_coefficient_Cnj(
                 f"violated for every M >= {n} (max admissible M = {max_m})"
             )
     if V.proposal_mass == 0.0:
-        return CoefficientEstimate(0.0, 0.0, n_samples,
-                                   params={"n": n, "j": j, "d": d, "alpha": alpha})
+        return Estimate(0.0, 0.0, n_samples, params={"n": n, "j": j, "d": d, "alpha": alpha})
     pref = c_d_alpha(d, alpha) / (
         (2.0 * math.pi) ** (j * d) * math.factorial(n) * math.factorial(j)
     )
@@ -372,13 +315,7 @@ def mc_coefficient_Cnj(
             f[b] = integrand(heads[b], incs[b], totals[b], th[b])
         return f
 
-    mean, se = _mc_accumulate(sample_fn, n_samples)
-    return CoefficientEstimate(
-        value=pref * mean,
-        stderr=pref * se,
-        n_samples=n_samples,
-        params={"n": n, "j": j, "d": d, "alpha": alpha},
-    )
+    return _mc_estimate(sample_fn, n_samples, pref, {"n": n, "j": j, "d": d, "alpha": alpha})
 
 
 # ---------------------------------------------------------------------------

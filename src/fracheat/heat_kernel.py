@@ -10,7 +10,7 @@ p_t^{(alpha)}(x) = (2 pi)^{-d} int exp(i<xi,x>) exp(-t |xi|^alpha) dxi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, special
@@ -18,7 +18,7 @@ from scipy import integrate, special
 from .subordinator import density_half, sample_mixed, sample_stable
 
 __all__ = [
-    "MCEstimate",
+    "Estimate",
     "sphere_surface_area",
     "kernel_at_zero",
     "kernel_value",
@@ -29,12 +29,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MCEstimate:
-    """Monte Carlo estimate with its standard error."""
+class Estimate:
+    """An estimate with its standard error (0 on a deterministic route)."""
 
     value: float
     stderr: float
     n_samples: int
+    params: dict = field(default_factory=dict)
+
+    @classmethod
+    def of_samples(cls, w: np.ndarray, scale: float) -> "Estimate":
+        """``scale`` times the mean of the samples ``w``, with its standard error."""
+        return cls(float(scale * w.mean()),
+                   float(scale * w.std(ddof=1) / math.sqrt(w.size)), w.size)
 
     def within(self, target: float, n_sigma: float = 3.0) -> bool:
         return abs(self.value - target) <= n_sigma * self.stderr
@@ -143,7 +150,7 @@ def relativistic_kernel_at_zero(
     t: float,
     n_samples: int,
     rng: np.random.Generator,
-) -> MCEstimate:
+) -> Estimate:
     """Monte Carlo estimate of p_t^{(alpha,m)}(0).
 
     Uses t^{d/alpha} p_t^{(alpha,m)}(0) = (4 pi)^{-d/2} E[S_{1,tm}^{-d/2}]
@@ -158,11 +165,7 @@ def relativistic_kernel_at_zero(
     s = sample_stable(alpha, 1.0, rng, size=n_samples)
     w = s ** (-d / 2.0) * np.exp(-((t * m) ** (2.0 / alpha)) * s)
     scale = (4.0 * math.pi) ** (-d / 2.0) * t ** (-d / alpha) * math.exp(m * t)
-    return MCEstimate(
-        value=float(scale * w.mean()),
-        stderr=float(scale * w.std(ddof=1) / math.sqrt(n_samples)),
-        n_samples=n_samples,
-    )
+    return Estimate.of_samples(w, scale)
 
 
 def mixed_kernel_at_zero(
@@ -173,7 +176,7 @@ def mixed_kernel_at_zero(
     t: float,
     n_samples: int,
     rng: np.random.Generator,
-) -> MCEstimate:
+) -> Estimate:
     """Monte Carlo estimate of p_t^{(a)}(0) = (4 pi)^{-d/2} E[S_{t,a}^{-d/2}]."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
@@ -182,8 +185,4 @@ def mixed_kernel_at_zero(
     s = sample_mixed(alpha, beta, a, t, rng, size=n_samples)
     w = s ** (-d / 2.0)
     scale = (4.0 * math.pi) ** (-d / 2.0)
-    return MCEstimate(
-        value=float(scale * w.mean()),
-        stderr=float(scale * w.std(ddof=1) / math.sqrt(n_samples)),
-        n_samples=n_samples,
-    )
+    return Estimate.of_samples(w, scale)

@@ -18,14 +18,7 @@ import math
 import numpy as np
 from scipy import integrate, optimize
 
-__all__ = [
-    "GaussianPotential",
-    "GaussianMixturePotential",
-    "integral_power",
-    "dirichlet_energy",
-    "biharmonic_energy",
-    "weighted_gradient",
-]
+__all__ = ["GaussianPotential", "GaussianMixturePotential"]
 
 
 class GaussianMixturePotential:
@@ -214,22 +207,3 @@ class GaussianPotential(GaussianMixturePotential):
         c, s, d = self.amplitude, self.width, self.d
         return (2.0 / 3.0) * c**3 * d * (math.pi / 3.0) ** (d / 2.0) * s ** (d - 2)
 
-
-def integral_power(v, k: int) -> float:
-    """int V^k; for k = 1 this equals fourier(0)."""
-    return v.integral_power(k)
-
-
-def dirichlet_energy(v) -> float:
-    """int |grad V|^2, the Dirichlet form of V against the Laplacian."""
-    return v.dirichlet_energy()
-
-
-def biharmonic_energy(v) -> float:
-    """int |Delta V|^2."""
-    return v.biharmonic_energy()
-
-
-def weighted_gradient(v) -> float:
-    """int V |grad V|^2."""
-    return v.weighted_gradient()

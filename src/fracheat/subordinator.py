@@ -16,14 +16,12 @@ give identical sample sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "StableIndex",
     "SubordinatorSpec",
-    "IncrementPartition",
     "sample_stable",
     "stable_moment",
     "sample_increments",
@@ -51,20 +49,6 @@ def _validate_alpha(alpha: float, *, allow_two: bool = True) -> None:
     if not (0.0 < alpha and hi_ok):
         bound = "(0, 2]" if allow_two else "(0, 2)"
         raise ValueError(f"alpha={alpha} outside {bound}")
-
-
-@dataclass(frozen=True)
-class StableIndex:
-    """Stability index alpha in (0, 2] with its subordination index alpha/2."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _validate_alpha(self.alpha)
-
-    @property
-    def rho(self) -> float:
-        return self.alpha / 2.0
 
 
 @dataclass(frozen=True)
@@ -118,39 +102,6 @@ class SubordinatorSpec:
         if self.family == "mixed":
             return sample_mixed(self.alpha, self.beta, self.a, t, rng, size=size)
         raise ValueError(f"unknown family {self.family!r}")
-
-
-@dataclass(frozen=True)
-class IncrementPartition:
-    """Independent subordinator increments attached to an ordered simplex point.
-
-    For lam = (lam_1, ..., lam_j) with 0 < lam_j < ... < lam_1 < 1, ``head``
-    is a sample of S_{1-(lam_1-lam_j)}, ``increments[k]`` of
-    S_{lam_k - lam_{k+1}}, and ``total = head + sum(increments)`` is by
-    construction a sample of S_1.
-    """
-
-    lam: np.ndarray
-    head: float
-    increments: np.ndarray
-    total: float = field(default=float("nan"))
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim != 1 or lam.size < 2:
-            raise ValueError("lam must be a vector of length >= 2")
-        if not (np.all(np.diff(lam) < 0) and 0.0 < lam[-1] and lam[0] < 1.0):
-            raise ValueError("lam must be strictly decreasing inside (0, 1)")
-        if self.head <= 0 or np.any(np.asarray(self.increments) <= 0):
-            raise ValueError("all partition components must be positive")
-        if math.isnan(self.total):
-            object.__setattr__(
-                self, "total", self.head + float(np.sum(self.increments))
-            )
-
-    @property
-    def j(self) -> int:
-        return int(np.asarray(self.lam).size)
 
 
 #: Draws per block of the Kanter transform and rows per block of the
@@ -253,24 +204,17 @@ def _check_lambda(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def sample_increments(
-    alpha: float, lam, rng: np.random.Generator
-) -> IncrementPartition:
-    """Sample the independent increments attached to an ordered simplex point.
+def sample_increments(alpha: float, lam, rng: np.random.Generator):
+    """Sample the independent increments attached to one ordered simplex point.
 
-    Returns an :class:`IncrementPartition` whose head is distributed as
-    S_{1-(lam_1-lam_j)}, whose k-th increment as S_{lam_k-lam_{k+1}}, all
-    mutually independent; the total is a sample of S_1 by construction.
+    The n = 1 case of :func:`increments_batch`: returns ``(head, incs, total)``
+    with head distributed as S_{1-(lam_1-lam_j)}, ``incs[k]`` as
+    S_{lam_k-lam_{k+1}}, all mutually independent, and
+    ``total = head + sum(incs)`` a sample of S_1 by construction.
     """
     lam = _check_lambda(lam)
-    gaps = -np.diff(lam)
-    head_time = 1.0 - (lam[0] - lam[-1])
-    if alpha == 2.0:
-        head, incs = head_time, gaps.copy()
-    else:
-        head = sample_stable(alpha, head_time, rng)
-        incs = np.array([sample_stable(alpha, g, rng) for g in gaps])
-    return IncrementPartition(lam=lam, head=float(head), increments=incs)
+    heads, incs, totals = increments_batch(alpha, lam[None, :], rng)
+    return float(heads[0]), incs[0], float(totals[0])
 
 
 def increments_batch(alpha: float, lam: np.ndarray, rng: np.random.Generator):

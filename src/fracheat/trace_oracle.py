@@ -49,7 +49,6 @@ __all__ = [
     "trace_difference_curve",
     "extrapolated_trace_curve",
     "fit_expansion",
-    "grid_convergence",
     "domain_convergence",
     "trace_curve_to_rows",
     "expansion_fit_to_dict",
@@ -293,13 +292,6 @@ def extrapolated_trace_curve(
         normalization=normalization,
         meta=meta,
     )
-
-
-def grid_convergence(V, alpha, grid, t_grid, normalization="free") -> float:
-    """Max relative change of the normalized curve when N doubles."""
-    a = trace_difference_curve(V, alpha, grid, t_grid, normalization)
-    b = trace_difference_curve(V, alpha, grid.doubled_modes(), t_grid, normalization)
-    return float(np.max(np.abs(b.normalized / a.normalized - 1.0)))
 
 
 def domain_convergence(V, alpha, grid, t_grid, normalization="free") -> float:

@@ -36,6 +36,27 @@ def test_seed_robustness_spot_checks():
         assert result.passed, f"{result.name}: {result.detail}"
 
 
+STOCHASTIC = (
+    acceptance.criterion_01_moment_identity,
+    acceptance.criterion_05_robustness_trend,
+    acceptance.criterion_06_coefficient_convention,
+    acceptance.criterion_07_cross_pipeline,
+    acceptance.criterion_10_tail_bound,
+    acceptance.criterion_11_relativistic_mixed,
+)
+
+
+@pytest.mark.parametrize("seed", [31337])
+@pytest.mark.parametrize(
+    "criterion", STOCHASTIC, ids=lambda fn: fn.__name__.replace("criterion_", "")
+)
+def test_stochastic_criterion_at_other_seed(criterion, seed):
+    # a third seed, beside the main run and the seed-999 spot checks, with
+    # the same gates
+    result = criterion(np.random.SeedSequence([seed, acceptance.CRITERIA.index(criterion)]))
+    assert result.passed, f"{result.name}: {result.detail}"
+
+
 def test_corrupted_gamma_fails_loudly(monkeypatch):
     # x-dependent corruption of the gamma hook must break the moment criterion
     monkeypatch.setattr(sub, "_gamma", lambda x: special.gamma(x) * 1.05**x)

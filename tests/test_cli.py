@@ -225,3 +225,68 @@ def test_relativistic_and_mixed_subcommands(tmp_path):
     ) == 0
     payload = _read_result(tmp_path / "m")
     assert payload["kernel_at_zero"] > 0
+
+
+def _ini(tmp_path, body, name="exp.ini"):
+    path = tmp_path / name
+    path.write_text(body)
+    return str(path)
+
+
+@pytest.mark.parametrize("body,key", [
+    ("J = 5\nnn = 5\nalpha = 1.5\n", "nn"),     # unknown key
+    ("J = 5\n", "alpha"),                        # missing required key
+])
+def test_ini_bad_keys_named(tmp_path, capsys, body, key):
+    ini = _ini(tmp_path, f"[schedule]\n{body}output = {tmp_path / 'o'}\n")
+    assert cli.main(["run", "--config", ini]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ini_defaults_and_spelling_hash_like_argv(tmp_path):
+    a = tmp_path / "a"
+    assert cli.main(["schedule", "--J", "5", "--alpha", "1.5", "--seed", "4",
+                     "--output", str(a)]) == 0
+    want = _manifest(a)["config_hash"]
+    # d and M omitted (defaulted), alpha written as 1.50
+    for i, body in enumerate(["J = 5\nalpha = 1.5\n", "J = 5\nalpha = 1.50\nd = 1\n"]):
+        out = tmp_path / f"b{i}"
+        ini = _ini(tmp_path, f"[schedule]\n{body}seed = 4\noutput = {out}\n", f"{i}.ini")
+        assert cli.main(["run", "--config", ini]) == 0
+        assert _manifest(out)["config_hash"] == want
+
+
+def test_manifest_lists_every_effective_parameter(tmp_path):
+    assert run_cli(["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1",
+                    "--n-modes", "64", "--points", "4", "--refine", "false"], tmp_path) == 0
+    params = _manifest(tmp_path)["params"]
+    assert params == {"d": "1", "alpha": "1.0", "potential": "gaussian:c=-1,s=1",
+                      "l": "40.0", "n_modes": "64", "tmin": "0.001", "tmax": "0.1",
+                      "points": "4", "fit": "False", "exponents": "1.0 2.0 3.0 4.0",
+                      "refine": "False"}
+    # a config written from those params resolves to the same run
+    cfg = cli.RunConfig("trace", params, output=str(tmp_path))
+    assert cfg.hash == _manifest(tmp_path)["config_hash"]
+
+
+def test_failed_run_leaves_no_directory(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["sample", "--family", "relativistic", "--alpha", "1", "--n", "10",
+                     "--output", str(out)])
+    assert code == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["--family", "stable", "--alpha", "1.5", "--m", "3"], "--m"),     # not used
+    (["--family", "mixed", "--alpha", "0.8", "--beta", "1.6"], "--a"),  # lacking
+])
+def test_sample_family_parameters(tmp_path, capsys, args, flag):
+    assert run_cli(["sample"] + args + ["--n", "10"], tmp_path) == 4
+    assert capsys.readouterr().err.rstrip().endswith(flag)
+
+
+def test_every_experiment_has_one_parameter_table():
+    assert list(cli.PARAMS) == list(cli.EXPERIMENTS)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,38 +17,54 @@ def rng(seed=0):
 # L_j functional
 
 
+def _lj_one(part, thetas):
+    # L_j of one (head, incs, total) from sample_increments, as a batch of one
+    head, incs, total = part
+    th = np.asarray(thetas, dtype=float).reshape(1, incs.size, -1)
+    return float(coeff._lj_batch(np.array([head]), incs[None, :], np.array([total]), th)[0])
+
+
 def test_lj_zero_thetas():
     part = sub.sample_increments(1.0, [0.6, 0.2], rng(1))
-    assert coeff.eval_Lj(part, [0.0]) == 0.0
+    assert _lj_one(part, [0.0]) == 0.0
 
 
 def test_lj_deterministic_alpha2():
     # j = 2, alpha = 2: L_2 = (1 - l1 + l2)(l1 - l2) |theta|^2
     part = sub.sample_increments(2.0, [0.6, 0.2], rng())
-    assert coeff.eval_Lj(part, [1.0]) == pytest.approx(0.6 * 0.4, rel=1e-12)
-    assert coeff.eval_Lj(part, [2.0]) == pytest.approx(0.6 * 0.4 * 4.0, rel=1e-12)
+    assert _lj_one(part, [1.0]) == pytest.approx(0.6 * 0.4, rel=1e-12)
+    assert _lj_one(part, [2.0]) == pytest.approx(0.6 * 0.4 * 4.0, rel=1e-12)
+
+
+def _lj_compact_exact(head, incs, th):
+    # the compact defining form L_j = sum_k inc_k |gamma_k|^2
+    # - |sum_k inc_k gamma_k|^2 / S_1 in exact rational arithmetic: in floats
+    # it cancels to ~eps * sum_k inc_k |gamma_k|^2 when one increment of the
+    # heavy-tailed law dominates, which is why the package uses the expanded form
+    inc = [Fraction(x) for x in incs]
+    gam, acc = [], [Fraction(0)] * th.shape[1]
+    for row in th:
+        acc = [a + Fraction(x) for a, x in zip(acc, row)]
+        gam.append(acc)
+    lead = sum(i * sum(g * g for g in gk) for i, gk in zip(inc, gam))
+    vec = [sum(i * gk[c] for i, gk in zip(inc, gam)) for c in range(th.shape[1])]
+    return float(lead - sum(v * v for v in vec) / (Fraction(head) + sum(inc)))
 
 
 @pytest.mark.parametrize("j,d", [(2, 1), (3, 1), (4, 1), (3, 2)])
 def test_lj_forms_agree_and_bounds(j, d):
+    # the expanded form against the compact form, on 2500 cases drawn as one batch
     r = rng(j * 10 + d)
-    for _ in range(2500):
-        lam = np.sort(r.uniform(0.001, 0.999, j))[::-1]
-        part = sub.sample_increments(1.2, lam, r)
-        th = r.normal(size=(j - 1, d))
-        expanded = coeff.eval_Lj(part, th)
-        compact = coeff.eval_Lj_compact(part, th)
-        assert expanded >= 0.0
-        scale = max(abs(expanded), abs(compact), 1e-30)
-        assert abs(expanded - compact) / scale < 1e-10
-        gam2 = (np.cumsum(th, axis=0) ** 2).sum()
-        assert expanded <= part.total * gam2 * (1 + 1e-12)
-
-
-def test_lj_shape_validation():
-    part = sub.sample_increments(1.0, [0.6, 0.2], rng())
-    with pytest.raises(ValueError):
-        coeff.eval_Lj(part, [1.0, 2.0])
+    lam = np.sort(r.uniform(0.001, 0.999, (2500, j)), axis=1)[:, ::-1]
+    heads, incs, totals = sub.increments_batch(1.2, lam, r)
+    th = r.normal(size=(2500, j - 1, d))
+    expanded = coeff._lj_batch(heads, incs, totals, th)
+    compact = np.array([_lj_compact_exact(*case) for case in zip(heads, incs, th)])
+    assert np.all(expanded >= 0.0)
+    scale = np.maximum(np.maximum(np.abs(expanded), np.abs(compact)), 1e-30)
+    assert np.all(np.abs(expanded - compact) / scale < 1e-10)
+    gam2 = (np.cumsum(th, axis=1) ** 2).sum(axis=(1, 2))
+    assert np.all(expanded <= totals * gam2 * (1 + 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -4,45 +4,38 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fracheat.potential import (
-    GaussianMixturePotential,
-    GaussianPotential,
-    biharmonic_energy,
-    dirichlet_energy,
-    integral_power,
-    weighted_gradient,
-)
+from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
 
 def test_integral_power_unit_gaussian():
     v = GaussianPotential(1.0, 1.0)
-    assert integral_power(v, 1) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert integral_power(v, 2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
-    assert v.fourier(0.0) == pytest.approx(integral_power(v, 1), rel=1e-12)
+    assert v.integral_power(1) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    assert v.integral_power(2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
+    assert v.fourier(0.0) == pytest.approx(v.integral_power(1), rel=1e-12)
 
 
 def test_closed_form_energies_unit_gaussian():
     v = GaussianPotential(1.0, 1.0)
-    assert dirichlet_energy(v) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
+    assert v.dirichlet_energy() == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
     # brute-force oracles, written out directly
     bi, _ = integrate.quad(lambda x: (4 * x**2 - 2) ** 2 * math.exp(-2 * x**2), -20, 20)
-    assert biharmonic_energy(v) == pytest.approx(bi, rel=1e-10)
-    assert biharmonic_energy(v) == pytest.approx(3.0 * math.sqrt(math.pi / 2.0), rel=1e-12)
+    assert v.biharmonic_energy() == pytest.approx(bi, rel=1e-10)
+    assert v.biharmonic_energy() == pytest.approx(3.0 * math.sqrt(math.pi / 2.0), rel=1e-12)
     wg, _ = integrate.quad(lambda x: 4 * x**2 * math.exp(-3 * x**2), -20, 20)
-    assert weighted_gradient(v) == pytest.approx(wg, rel=1e-10)
-    assert weighted_gradient(v) == pytest.approx((2.0 / 3.0) * math.sqrt(math.pi / 3.0), rel=1e-12)
+    assert v.weighted_gradient() == pytest.approx(wg, rel=1e-10)
+    assert v.weighted_gradient() == pytest.approx((2.0 / 3.0) * math.sqrt(math.pi / 3.0), rel=1e-12)
 
 
 def test_quadratic_scaling_in_amplitude():
     v1 = GaussianPotential(1.0, 1.3)
     v2 = GaussianPotential(2.0, 1.3)
-    assert dirichlet_energy(v2) == pytest.approx(4.0 * dirichlet_energy(v1), rel=1e-12)
+    assert v2.dirichlet_energy() == pytest.approx(4.0 * v1.dirichlet_energy(), rel=1e-12)
 
 
 def test_zero_potential():
     v = GaussianPotential(0.0, 1.0)
-    assert biharmonic_energy(v) == 0.0
-    assert weighted_gradient(v) == 0.0
+    assert v.biharmonic_energy() == 0.0
+    assert v.weighted_gradient() == 0.0
 
 
 def test_plancherel_cross_check():
@@ -51,7 +44,7 @@ def test_plancherel_cross_check():
     val, _ = integrate.quad(
         lambda xi: xi**2 * abs(v.fourier(xi)) ** 2, -np.inf, np.inf, limit=200
     )
-    assert val / (2.0 * math.pi) == pytest.approx(dirichlet_energy(v), rel=1e-8)
+    assert val / (2.0 * math.pi) == pytest.approx(v.dirichlet_energy(), rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -63,25 +56,25 @@ def test_analytic_vs_brute_force_randomized(seed):
     f = lambda x: c * math.exp(-(x**2) / s**2)
     lim = 12.0 * s
     num1, _ = integrate.quad(f, -lim, lim, epsabs=1e-13)
-    assert integral_power(v, 1) == pytest.approx(num1, rel=1e-8)
+    assert v.integral_power(1) == pytest.approx(num1, rel=1e-8)
     num3, _ = integrate.quad(lambda x: f(x) ** 3, -lim, lim, epsabs=1e-13)
-    assert integral_power(v, 3) == pytest.approx(num3, rel=1e-8)
+    assert v.integral_power(3) == pytest.approx(num3, rel=1e-8)
     der = lambda x: -2.0 * x / s**2 * f(x)
     numd, _ = integrate.quad(lambda x: der(x) ** 2, -lim, lim, epsabs=1e-13)
-    assert dirichlet_energy(v) == pytest.approx(numd, rel=1e-8)
+    assert v.dirichlet_energy() == pytest.approx(numd, rel=1e-8)
     numw, _ = integrate.quad(lambda x: f(x) * der(x) ** 2, -lim, lim, epsabs=1e-13)
-    assert weighted_gradient(v) == pytest.approx(numw, rel=1e-8)
+    assert v.weighted_gradient() == pytest.approx(numw, rel=1e-8)
 
 
 def test_d2_gaussian_closed_forms():
     v = GaussianPotential(1.5, 0.9, center=(0.0, 0.0))
     assert v.d == 2
-    assert integral_power(v, 2) == pytest.approx(1.5**2 * (0.9**2 * math.pi / 2.0), rel=1e-12)
+    assert v.integral_power(2) == pytest.approx(1.5**2 * (0.9**2 * math.pi / 2.0), rel=1e-12)
     num, _ = integrate.dblquad(
         lambda y, x: (v.gradient((x, y)) ** 2).sum(),
         -9, 9, lambda x: -9, lambda x: 9, epsabs=1e-10,
     )
-    assert dirichlet_energy(v) == pytest.approx(num, rel=1e-7)
+    assert v.dirichlet_energy() == pytest.approx(num, rel=1e-7)
 
 
 def test_shifted_gaussian_fourier():
@@ -92,7 +85,7 @@ def test_shifted_gaussian_fourier():
     # real V: Vhat(-xi) = conj(Vhat(xi))
     assert v.fourier(-2.0) == pytest.approx(np.conj(z), rel=1e-12)
     # translation leaves the functionals alone
-    assert integral_power(v, 2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
+    assert v.integral_power(2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def test_convergence_gates_small():
     # checks the same machinery converges at quarter size
     grid = oracle.SpectralGrid(1, 40.0, 256)
     tg = np.geomspace(1e-3, 1e-1, 6)
-    assert oracle.grid_convergence(WELL, 1.0, grid, tg) < 2e-3
+    curve = oracle.extrapolated_trace_curve(WELL, 1.0, grid, tg)
+    assert curve.meta["grid_doubling_max_rel_change"] < 2e-3
     assert oracle.domain_convergence(WELL, 1.0, grid, tg) < 2e-3
 
 

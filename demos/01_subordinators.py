@@ -45,7 +45,7 @@ print(f"  KS statistic over {n} samples: {ks.statistic:.2e} (p = {ks.pvalue:.3f}
 print("\n== Tail bound:  P(1 < S_1 < N_alpha) >= (1 - exp(-v_alpha))/2 ==")
 for alpha in (0.5, 1.0, 1.5):
     v, p_lower = sub.tail_lower_bound(alpha)
-    n_alpha = 1.786 if alpha == 1.0 else sub.upper_threshold(alpha, rng, n_samples=n)
+    n_alpha = sub.N1_CLOSED_FORM if alpha == 1.0 else sub.upper_threshold(alpha, rng, n_samples=n)
     s = sub.sample_stable(alpha, 1.0, rng, size=n)
     freq = np.mean((s > 1.0) & (s < n_alpha))
     print(f"  alpha={alpha}: v={v:.4f}  N={n_alpha:.3f}  "

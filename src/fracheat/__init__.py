@@ -48,7 +48,6 @@ from .subordinator import (  # noqa: F401
     sample_mixed,
     sample_relativistic,
     sample_stable,
-    spawn_rngs,
     stable_moment,
     tail_lower_bound,
 )

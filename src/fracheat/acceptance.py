@@ -73,14 +73,13 @@ def criterion_01_moment_identity(seed) -> CriterionResult:
     for alpha in (0.5, 1.0, 1.5, 1.9):
         for eta in (-1.5, -1.0, -0.5, 0.2 * alpha):
             exact = sub.stable_moment(alpha, eta)
-            s = sub.sample_stable(alpha, 1.0, rng, size=n) ** eta
-            mean, se = s.mean(), s.std(ddof=1) / math.sqrt(n)
-            ok4 = abs(mean - exact) <= 4.0 * se
+            est = hk.Estimate.of_samples(sub.sample_stable(alpha, 1.0, rng, size=n) ** eta, 1.0)
+            ok4 = abs(est.value - exact) <= 4.0 * est.stderr
             cond = _conditional_moment(alpha, eta, n, rng)
             ok1 = abs(cond - exact) <= 0.01 * abs(exact)
             checks.append(
                 (ok4 and ok1,
-                 f"alpha={alpha} eta={eta:.2f}: plain z={(mean - exact) / se:+.2f}, "
+                 f"alpha={alpha} eta={eta:.2f}: plain z={(est.value - exact) / est.stderr:+.2f}, "
                  f"conditional rel={abs(cond - exact) / exact:.2e}")
             )
     return _result("01 moment identity", checks, t0,
@@ -256,7 +255,7 @@ def criterion_10_tail_bound(seed) -> CriterionResult:
     for alpha in (0.5, 1.0, 1.5):
         _, p_lower = sub.tail_lower_bound(alpha)
         if alpha == 1.0:
-            n_alpha = 1.786
+            n_alpha = sub.N1_CLOSED_FORM
         else:
             n_alpha = sub.upper_threshold(alpha, rng, n_samples=n)
         s = sub.sample_stable(alpha, 1.0, rng, size=n)
@@ -282,10 +281,8 @@ def criterion_11_relativistic_mixed(seed) -> CriterionResult:
         alpha, m, t, rng, size=n, return_stats=True
     )
     for lam in (0.5, 1.0, 2.0, 5.0):
-        emp = np.exp(-lam * srel)
-        z = (emp.mean() - math.exp(-t * spec_rel.laplace_exponent(lam))) / (
-            emp.std(ddof=1) / math.sqrt(n)
-        )
+        emp = hk.Estimate.of_samples(np.exp(-lam * srel), 1.0)
+        z = (emp.value - math.exp(-t * spec_rel.laplace_exponent(lam))) / emp.stderr
         checks.append((abs(z) <= 4.0, f"relativistic lam={lam}: z={z:+.2f}"))
     rate, want = accepted / proposals, math.exp(-m * t)
     sigma = math.sqrt(want * (1.0 - want) / proposals)
@@ -298,10 +295,8 @@ def criterion_11_relativistic_mixed(seed) -> CriterionResult:
     spec_mix = sub.SubordinatorSpec.mixed(**ab)
     smix = sub.sample_mixed(ab["alpha"], ab["beta"], ab["a"], 1.0, rng, size=n)
     for lam in (0.5, 1.0, 2.0, 5.0):
-        emp = np.exp(-lam * smix)
-        z = (emp.mean() - math.exp(-spec_mix.laplace_exponent(lam))) / (
-            emp.std(ddof=1) / math.sqrt(n)
-        )
+        emp = hk.Estimate.of_samples(np.exp(-lam * smix), 1.0)
+        z = (emp.value - math.exp(-spec_mix.laplace_exponent(lam))) / emp.stderr
         checks.append((abs(z) <= 4.0, f"mixed lam={lam}: z={z:+.2f}"))
     # mixed kernel at zero: p_t(0) t^{d/beta} bounded below along the t grid
     d = 2
@@ -360,8 +355,8 @@ CRITERIA = [
 ]
 
 
-def acceptance_suite(seed: int = 20240801, criteria=None, verbose: bool = True):
-    """Run the acceptance criteria; returns the list of CriterionResult."""
+def acceptance_suite(seed: int = 20240801, criteria=None):
+    """Run the acceptance criteria, printing one line each; returns the CriterionResults."""
     seqs = np.random.SeedSequence(seed).spawn(len(CRITERIA))
     results = []
     for fn, sq in zip(CRITERIA, seqs):
@@ -369,6 +364,5 @@ def acceptance_suite(seed: int = 20240801, criteria=None, verbose: bool = True):
             continue
         res = fn(sq)
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

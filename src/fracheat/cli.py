@@ -273,8 +273,8 @@ def _exp_moments(cfg, rng):
     s = sub.sample_stable(alpha, 1.0, rng, size=n)
     rows, table = [], []
     for eta in cfg.params["eta"]:
-        x = s**eta
-        mean, se = float(x.mean()), float(x.std(ddof=1) / np.sqrt(n))
+        est = hk.Estimate.of_samples(s**eta, 1.0)
+        mean, se = est.value, est.stderr
         exact = sub.stable_moment(alpha, eta)
         z = (mean - exact) / se
         rows.append((alpha, eta, mean, se, exact, z))
@@ -488,7 +488,9 @@ def _add_common(sp):
     sp.add_argument("--no-cache", action="store_true")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once from :data:`PARAMS`."""
     ap = argparse.ArgumentParser(
         prog="fracheat",
         description="Numerical laboratory for fractional heat-trace expansions.",
@@ -508,8 +510,11 @@ def main(argv=None) -> int:
     sp = sps.add_parser("run", help="execute a flat INI config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--no-cache", action="store_true")
+    return ap
 
-    ns = vars(ap.parse_args(argv))
+
+def main(argv=None) -> int:
+    ns = vars(_parser().parse_args(argv))
     command, no_cache = ns.pop("command"), ns.pop("no_cache")
     try:
         if command == "run":

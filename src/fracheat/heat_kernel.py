@@ -43,9 +43,6 @@ class Estimate:
         return cls(float(scale * w.mean()),
                    float(scale * w.std(ddof=1) / math.sqrt(w.size)), w.size)
 
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= n_sigma * self.stderr
-
 
 def sphere_surface_area(d: int) -> float:
     """Surface area w_d of the unit sphere in R^d (w_1 = 2, w_2 = 2 pi, ...)."""
@@ -65,12 +62,18 @@ def kernel_at_zero(d: int, alpha: float) -> float:
     )
 
 
-def _radius_cut(t: float, alpha: float, tiny: float = 1e-18) -> float:
-    # truncation radius with exp(-t R^alpha) < tiny
-    return (-math.log(tiny) / t) ** (1.0 / alpha)
+#: Relative tolerance of the kernel quadrature.
+_REL_TOL = 1e-9
+#: The radial integral is truncated where exp(-t r^alpha) falls below this.
+_TINY = 1e-18
 
 
-def kernel_value(d: int, alpha: float, t: float, x, rel_tol: float = 1e-9) -> float:
+def _radius_cut(t: float, alpha: float) -> float:
+    # truncation radius with exp(-t R^alpha) < _TINY
+    return (-math.log(_TINY) / t) ** (1.0 / alpha)
+
+
+def kernel_value(d: int, alpha: float, t: float, x) -> float:
     """p_t^{(alpha)}(x) by adaptive quadrature of the radial inversion integral.
 
     d = 1 uses the cosine-weighted infinite-range rule; d >= 2 the Bessel
@@ -95,14 +98,14 @@ def kernel_value(d: int, alpha: float, t: float, x, rel_tol: float = 1e-9) -> fl
         split = min(1.0, math.pi / r)
         v1, e1 = integrate.quad(
             lambda u: math.cos(u * r) * math.exp(-t * u**alpha),
-            0.0, split, epsabs=1e-14, epsrel=rel_tol, limit=200,
+            0.0, split, epsabs=1e-14, epsrel=_REL_TOL, limit=200,
         )
         # epsabs below ~1e-13 makes the QAWF cycle rule report failure
         v2, e2 = integrate.quad(
             lambda u: math.exp(-t * u**alpha),
             split, np.inf,
             weight="cos", wvar=r,
-            epsabs=1e-13, epsrel=rel_tol, limit=400,
+            epsabs=1e-13, epsrel=_REL_TOL, limit=400,
         )
         val, err = v1 + v2, e1 + e2
         out = val / math.pi
@@ -116,11 +119,11 @@ def kernel_value(d: int, alpha: float, t: float, x, rel_tol: float = 1e-9) -> fl
         # subdivision hint roughly one panel per Bessel oscillation
         limit = 200 + int(cut * r / math.pi)
         val, err = integrate.quad(
-            f, 0.0, cut, epsabs=1e-14, epsrel=rel_tol, limit=limit
+            f, 0.0, cut, epsabs=1e-14, epsrel=_REL_TOL, limit=limit
         )
         out = (2.0 * math.pi) ** (-d / 2.0) * r ** (1.0 - d / 2.0) * val
     top = kernel_at_zero(d, alpha) * t ** (-d / alpha)
-    if err > max(1e-12, 100 * rel_tol * abs(out)) or not (-1e-12 <= out <= top * (1 + 1e-9)):
+    if err > max(1e-12, 100 * _REL_TOL * abs(out)) or not (-1e-12 <= out <= top * (1 + 1e-9)):
         raise RuntimeError(
             f"kernel quadrature did not converge: value={out:.3e}, err={err:.1e}, "
             f"at-zero bound {top:.3e}"

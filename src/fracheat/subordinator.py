@@ -32,7 +32,6 @@ __all__ = [
     "sample_relativistic",
     "sample_mixed",
     "density_half",
-    "spawn_rngs",
 ]
 
 # Gamma evaluations are routed through this hook so the acceptance suite can
@@ -42,6 +41,11 @@ _gamma = special.gamma
 #: Explicit alpha=1 threshold {1 - (sqrt(pi)/2)(e^{1/4}-1)}^{-2} ~ 1.786 with
 #: P(1 < S_1 < N_1) >= (1 - e^{-1/4})/2.
 N1_CLOSED_FORM = (1.0 - 0.5 * math.sqrt(math.pi) * (math.exp(0.25) - 1.0)) ** -2
+
+#: upper_threshold takes the empirical quantile this far above the required level.
+_THRESHOLD_MARGIN = 0.01
+#: sample_relativistic refuses an expected acceptance rate exp(-m t) below this.
+_MIN_ACCEPTANCE = 1e-6
 
 
 def _validate_alpha(alpha: float, *, allow_two: bool = True) -> None:
@@ -252,17 +256,16 @@ def tail_lower_bound(alpha: float):
     return v, (1.0 - math.exp(-v)) / 2.0
 
 
-def upper_threshold(
-    alpha: float, rng: np.random.Generator, n_samples: int = 10**6, margin: float = 0.01
-) -> float:
+def upper_threshold(alpha: float, rng: np.random.Generator, n_samples: int = 10**6) -> float:
     """Empirical N_alpha with P(S_1 < N_alpha) >= (1 + exp(-v_alpha))/2.
 
     Only existence of N_alpha is guaranteed in general; this picks the
-    empirical quantile at the required level plus ``margin``.  For alpha = 1
-    the closed form :data:`N1_CLOSED_FORM` is available instead.
+    empirical quantile at the required level plus ``_THRESHOLD_MARGIN``.
+    For alpha = 1 the closed form :data:`N1_CLOSED_FORM` is available
+    instead.
     """
     v, _ = tail_lower_bound(alpha)
-    level = (1.0 + math.exp(-v)) / 2.0 + margin
+    level = (1.0 + math.exp(-v)) / 2.0 + _THRESHOLD_MARGIN
     level = min(level, 1.0 - 1e-9)
     s = sample_stable(alpha, 1.0, rng, size=n_samples)
     return float(np.quantile(s, level))
@@ -274,7 +277,6 @@ def sample_relativistic(
     t: float,
     rng: np.random.Generator,
     size=None,
-    min_acceptance: float = 1e-6,
     return_stats: bool = False,
 ):
     """Draw samples of the relativistic subordinator S_{t,m}.
@@ -282,7 +284,7 @@ def sample_relativistic(
     The density factorizes as exp(m t) * eta_t^{(alpha/2)}(s) * exp(-m^{2/alpha} s),
     so rejection from the stable proposal with acceptance probability
     exp(-m^{2/alpha} s) is exact.  The expected acceptance rate is exp(-m t);
-    the call is refused when that falls below ``min_acceptance``.
+    the call is refused when that falls below ``_MIN_ACCEPTANCE``.
 
     With ``return_stats=True`` also returns the total numbers of proposals
     and of accepted proposals (the retained samples are the first ``size``
@@ -292,10 +294,10 @@ def sample_relativistic(
     if m <= 0 or t <= 0:
         raise ValueError("need m > 0 and t > 0")
     expected_rate = math.exp(-m * t)
-    if expected_rate < min_acceptance:
+    if expected_rate < _MIN_ACCEPTANCE:
         raise RuntimeError(
             f"expected acceptance rate exp(-m t)={expected_rate:.3e} below "
-            f"floor {min_acceptance:.1e}; m*t too large for rejection sampling"
+            f"floor {_MIN_ACCEPTANCE:.1e}; m*t too large for rejection sampling"
         )
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
@@ -348,9 +350,3 @@ def density_half(t, s):
         raise ValueError("need t > 0 and s > 0")
     val = t / (2.0 * np.sqrt(np.pi)) * s**-1.5 * np.exp(-(t**2) / (4.0 * s))
     return float(val) if val.ndim == 0 else val
-
-
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """n independent generators derived from one master seed by stream splitting."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

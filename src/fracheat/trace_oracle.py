@@ -40,12 +40,10 @@ from .heat_kernel import kernel_at_zero
 
 __all__ = [
     "SpectralGrid",
-    "OperatorSpectrum",
     "TraceCurve",
     "ExpansionFit",
     "build_hamiltonian",
     "free_multipliers",
-    "operator_spectrum",
     "trace_difference_curve",
     "extrapolated_trace_curve",
     "fit_expansion",
@@ -95,12 +93,6 @@ class SpectralGrid:
     def doubled_domain(self) -> "SpectralGrid":
         # doubling L at fixed mode density N/L
         return SpectralGrid(self.d, 2 * self.L, 2 * self.N)
-
-
-@dataclass(frozen=True)
-class OperatorSpectrum:
-    eigenvalues: np.ndarray
-    which: str  # "free" or "perturbed"
 
 
 _MAX_DENSE = 8192
@@ -200,12 +192,6 @@ def _spectrum(grid: SpectralGrid, alpha: float, V) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in _parity_blocks(H, grid)]))
 
 
-def operator_spectrum(grid: SpectralGrid, alpha: float, V=None) -> OperatorSpectrum:
-    if V is None:
-        return OperatorSpectrum(np.sort(free_multipliers(grid, alpha)), "free")
-    return OperatorSpectrum(_spectrum(grid, alpha, V), "perturbed")
-
-
 @dataclass(frozen=True)
 class TraceCurve:
     """Sampled Tr(exp(-t H_V) - exp(-t H_alpha)) with its normalization."""
@@ -213,11 +199,17 @@ class TraceCurve:
     t_grid: np.ndarray
     values: np.ndarray
     normalized: np.ndarray
-    normalization: str
+    normalization: str  # always "free"
     meta: dict = field(default_factory=dict)
 
 
-def _curve_arrays(V, alpha, grid, t_grid, normalization):
+def trace_difference_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> TraceCurve:
+    """Trace-difference curve over the full discrete spectra.
+
+    The discrete free trace's mismatch with (2L)^d p_t(0) at the largest t
+    is reported in ``meta['free_match_rel']``; the free normalization does
+    not rely on it.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
         raise ValueError("t values must lie in (0, 1)")
@@ -229,39 +221,11 @@ def _curve_arrays(V, alpha, grid, t_grid, normalization):
     vol = (2.0 * grid.L) ** grid.d
     p_cont = kernel_at_zero(grid.d, alpha) * t_grid ** (-grid.d / alpha)
     free_match = abs(trace_free[-1] / (vol * p_cont[-1]) - 1.0)
-    if normalization == "free":
-        normalized = values / (trace_free / vol)
-    elif normalization == "continuum":
-        normalized = values / p_cont
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return values, normalized, free_match
-
-
-def trace_difference_curve(
-    V, alpha: float, grid: SpectralGrid, t_grid, normalization: str = "free"
-) -> TraceCurve:
-    """Trace-difference curve over the full discrete spectra.
-
-    The sanity ratio of the discrete free trace to (2L)^d p_t(0) at the
-    largest t is reported in ``meta['free_match_rel']`` under either
-    normalization.  Beyond 1e-3 it triggers a warning under the continuum
-    normalization, which is untrustworthy there; the free normalization
-    does not rely on the ratio and stays silent.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    values, normalized, free_match = _curve_arrays(V, alpha, grid, t_grid, normalization)
-    if normalization == "continuum" and free_match > 1e-3:
-        warnings.warn(
-            f"discrete free trace misses (2L)^d p_t(0) by {free_match:.2e} at "
-            f"t={t_grid[-1]:.3g}; grid too coarse for continuum normalization there",
-            stacklevel=2,
-        )
     return TraceCurve(
         t_grid=t_grid,
         values=values,
-        normalized=normalized,
-        normalization=normalization,
+        normalized=values / (trace_free / vol),
+        normalization="free",
         meta={
             "d": grid.d, "L": grid.L, "N": grid.N, "alpha": alpha,
             "free_match_rel": free_match, "refined": False,
@@ -269,17 +233,15 @@ def trace_difference_curve(
     )
 
 
-def extrapolated_trace_curve(
-    V, alpha: float, grid: SpectralGrid, t_grid, normalization: str = "free"
-) -> TraceCurve:
+def extrapolated_trace_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> TraceCurve:
     """Richardson pair over mode doubling: 2 * curve(2N) - curve(N).
 
     The leading truncation contamination of the normalized curve scales
     like 1/xi_max at fixed L, so the doubled-mode run (already required by
     the grid-convergence gate) cancels it.
     """
-    base = trace_difference_curve(V, alpha, grid, t_grid, normalization)
-    fine = trace_difference_curve(V, alpha, grid.doubled_modes(), t_grid, normalization)
+    base = trace_difference_curve(V, alpha, grid, t_grid)
+    fine = trace_difference_curve(V, alpha, grid.doubled_modes(), t_grid)
     meta = dict(base.meta)
     meta["refined"] = True
     meta["grid_doubling_max_rel_change"] = float(
@@ -289,20 +251,25 @@ def extrapolated_trace_curve(
         t_grid=base.t_grid,
         values=base.values,
         normalized=2.0 * fine.normalized - base.normalized,
-        normalization=normalization,
+        normalization="free",
         meta=meta,
     )
 
 
-def domain_convergence(V, alpha, grid, t_grid, normalization="free") -> float:
+def domain_convergence(V, alpha, grid, t_grid) -> float:
     """Max relative change of the normalized curve when L doubles at fixed N/L."""
-    a = trace_difference_curve(V, alpha, grid, t_grid, normalization)
-    b = trace_difference_curve(V, alpha, grid.doubled_domain(), t_grid, normalization)
+    a = trace_difference_curve(V, alpha, grid, t_grid)
+    b = trace_difference_curve(V, alpha, grid.doubled_domain(), t_grid)
     return float(np.max(np.abs(b.normalized / a.normalized - 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # Least-squares expansion fit
+
+#: Exponents closer than this are fitted as one basis function.
+_MERGE_TOL = 0.05
+#: How close an exponent must be to a fitted one for coefficient_at.
+_EXPONENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -315,19 +282,19 @@ class ExpansionFit:
     condition_number: float
     anchors: dict
 
-    def coefficient_at(self, exponent: float, tol: float = 1e-9):
-        idx = np.nonzero(np.abs(self.exponents - exponent) <= tol)[0]
+    def coefficient_at(self, exponent: float):
+        idx = np.nonzero(np.abs(self.exponents - exponent) <= _EXPONENT_TOL)[0]
         if idx.size != 1:
             raise KeyError(f"no unique fitted exponent at {exponent}")
         i = int(idx[0])
         return float(self.coefficients[i]), float(self.stderr[i])
 
 
-def _merge_exponents(exps, labels, tol):
+def _merge_exponents(exps, labels):
     order = np.argsort(exps)
     merged, groups = [], []
     for i in order:
-        if merged and exps[i] - merged[-1][-1] < tol:
+        if merged and exps[i] - merged[-1][-1] < _MERGE_TOL:
             merged[-1].append(exps[i])
             groups[-1].append(labels[i])
         else:
@@ -356,12 +323,11 @@ def fit_expansion(
     curve: TraceCurve,
     schedule,
     anchors: dict | None = None,
-    merge_tol: float = 0.05,
 ) -> ExpansionFit:
     """Weighted least squares of the normalized curve against t^e bases.
 
     ``schedule`` is an :class:`~fracheat.coefficients.ExponentSchedule` or a
-    plain list of exponents.  Exponents closer than ``merge_tol`` are merged
+    plain list of exponents.  Exponents closer than ``_MERGE_TOL`` are merged
     into one basis function (Vandermonde conditioning near alpha = 2).
     ``anchors`` maps exponents to known coefficients; their contribution is
     subtracted before fitting, which decorrelates near-degenerate columns
@@ -382,7 +348,7 @@ def fit_expansion(
     pairs = [(e, lab) for e, lab in pairs if not any(abs(e - a) < 1e-12 for a in anchors)]
     exps = np.array([p[0] for p in pairs])
     labels = [p[1] for p in pairs]
-    reps, groups = _merge_exponents(exps, labels, merge_tol)
+    reps, groups = _merge_exponents(exps, labels)
     t = np.asarray(curve.t_grid, dtype=float)
     y = np.asarray(curve.normalized, dtype=float).copy()
     for e, a in anchors.items():

@@ -65,7 +65,7 @@ def test_corrupted_gamma_fails_loudly(monkeypatch):
 
 
 def test_suite_filter_and_report():
-    results = acceptance.acceptance_suite(seed=SEED, criteria=["12"], verbose=False)
+    results = acceptance.acceptance_suite(seed=SEED, criteria=["12"])
     assert len(results) == 1
     assert results[0].passed
     assert "12" in results[0].name

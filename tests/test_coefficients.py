@@ -80,7 +80,7 @@ def test_deterministic_k_values():
 @pytest.mark.parametrize("which,exact", [("K1", 1 / 12), ("K2", 1 / 60), ("K3", 1 / 24)])
 def test_mc_matches_quadrature_at_alpha2(which, exact):
     est = coeff.mc_constant_K(which, 2, 2.0, 4 * 10**6, rng(5))
-    assert est.within(exact, 4.0)
+    assert abs(est.value - exact) <= 4.0 * est.stderr
     assert abs(est.value - exact) / exact < 1e-3
 
 
@@ -147,7 +147,7 @@ def test_c0j_convention_gate_centered():
     for j in (2, 3):
         want = v.integral_power(j) / math.factorial(j)
         est = coeff.mc_coefficient_Cnj(v, 0, j, 1, 1.0, 10**6, rng(10 + j))
-        assert est.within(want, 4.0)
+        assert abs(est.value - want) <= 4.0 * est.stderr
 
 
 def test_c0j_convention_gate_shifted_and_mixture():
@@ -156,18 +156,18 @@ def test_c0j_convention_gate_shifted_and_mixture():
     v = GaussianPotential(1.0, 1.0, center=0.8)
     want = v.integral_power(2) / 2.0
     est = coeff.mc_coefficient_Cnj(v, 0, 2, 1, 1.2, 10**6, rng(14))
-    assert est.within(want, 4.0)
+    assert abs(est.value - want) <= 4.0 * est.stderr
     w = GaussianMixturePotential([1.0, -0.5], [1.0, 1.6], [0.0, 0.7], d=1)
     want = w.integral_power(3) / 6.0
     est = coeff.mc_coefficient_Cnj(w, 0, 3, 1, 1.2, 2 * 10**6, rng(15))
-    assert est.within(want, 4.0)
+    assert abs(est.value - want) <= 4.0 * est.stderr
 
 
 def test_c0j_convention_gate_d2():
     v = GaussianPotential(1.0, 1.0, center=(0.0, 0.0))
     want = v.integral_power(2) / 2.0
     est = coeff.mc_coefficient_Cnj(v, 0, 2, 2, 1.0, 10**6, rng(13))
-    assert est.within(want, 4.0)
+    assert abs(est.value - want) <= 4.0 * est.stderr
 
 
 def test_c12_matches_constant_route():
@@ -185,7 +185,7 @@ def test_c13_factor_against_weighted_gradient():
     v = GaussianPotential(1.0, 1.0)
     est = coeff.mc_coefficient_Cnj(v, 1, 3, 1, 2.0, 4 * 10**6, rng(18))
     want = coeff.constant_M(1, 2.0, 0, rng()).value * v.weighted_gradient()
-    assert est.within(want, 4.0)
+    assert abs(est.value - want) <= 4.0 * est.stderr
     assert abs(est.value - want) / want < 0.01
 
 
@@ -193,7 +193,7 @@ def test_c22_matches_constant_N_at_alpha2():
     v = GaussianPotential(1.0, 1.0)
     est = coeff.mc_coefficient_Cnj(v, 2, 2, 1, 2.0, 4 * 10**6, rng(19))
     want = coeff.constant_N(1, 2.0, 0, rng()).value * v.biharmonic_energy()
-    assert est.within(want, 4.0)
+    assert abs(est.value - want) <= 4.0 * est.stderr
 
 
 def test_cnj_zero_potential():

@@ -1,7 +1,8 @@
-"""Every exported name resolves, and every function the benchmark wraps exists."""
+"""Every exported name resolves, and every function the benchmark wraps or calls exists."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
 import types
@@ -34,3 +35,18 @@ def test_benchmark_wrap_targets_exist(monkeypatch):
     missing = [(owner.__name__, attr) for owner, attr, *_ in targets
                if attr not in vars(owner)]
     assert not missing
+
+
+# keyword arguments the benchmark and the acceptance criteria pass by name
+KEYWORDS = [
+    ("trace_oracle", "TraceCurve", ("normalization", "meta")),
+    ("subordinator", "sample_relativistic", ("size", "return_stats")),
+    ("trace_oracle", "fit_expansion", ("anchors",)),
+    ("subordinator", "upper_threshold", ("n_samples",)),
+]
+
+
+@pytest.mark.parametrize("module,name,keywords", KEYWORDS, ids=[k[1] for k in KEYWORDS])
+def test_benchmark_keywords_bind(module, name, keywords):
+    fn = getattr(importlib.import_module(f"fracheat.{module}"), name)
+    inspect.signature(fn).bind_partial(**dict.fromkeys(keywords))

@@ -331,10 +331,3 @@ def test_subordinator_spec_families():
     s = mix.sample(0.5, rng(19), size=100)
     assert np.all(s > 0)
 
-
-def test_spawn_rngs_independent_and_reproducible():
-    streams = sub.spawn_rngs(7, 3)
-    a, b = streams[0].normal(size=4), streams[1].normal(size=4)
-    assert not np.allclose(a, b)
-    again = sub.spawn_rngs(7, 3)[0].normal(size=4)
-    assert np.array_equal(a, again)

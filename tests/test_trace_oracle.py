@@ -68,7 +68,7 @@ def test_folded_spectrum_matches_dense(d, N, L):
     assert sum(b.shape[0] for b in blocks) == grid.size
     assert all(b.shape[0] == b.shape[1] for b in blocks)
     dense = np.linalg.eigvalsh(h)
-    folded = oracle.operator_spectrum(grid, 1.3, v).eigenvalues
+    folded = oracle._spectrum(grid, 1.3, v)
     assert np.max(np.abs(folded - dense)) < 1e-10
 
 
@@ -79,7 +79,7 @@ def test_off_centre_potential_keeps_dense_hermitian_spectrum(d, N, L):
     h = oracle.build_hamiltonian(grid, 1.3, v)
     assert np.iscomplexobj(h)
     assert np.max(np.abs(h - h.conj().T)) < 1e-15
-    spec = oracle.operator_spectrum(grid, 1.3, v).eigenvalues
+    spec = oracle._spectrum(grid, 1.3, v)
     assert np.array_equal(spec, np.linalg.eigvalsh(h))
 
 
@@ -103,8 +103,8 @@ class _ConstantPotential:
 def test_constant_potential_shifts_spectrum():
     grid = oracle.SpectralGrid(1, 10.0, 32)
     free = np.sort(oracle.free_multipliers(grid, 1.5))
-    spec = oracle.operator_spectrum(grid, 1.5, _ConstantPotential(0.7, grid))
-    assert np.allclose(spec.eigenvalues, free + 0.7, atol=1e-12)
+    spec = oracle._spectrum(grid, 1.5, _ConstantPotential(0.7, grid))
+    assert np.allclose(spec, free + 0.7, atol=1e-12)
 
 
 def _fd_ground_state(v, L, n):
@@ -124,17 +124,17 @@ def test_alpha2_ground_state_vs_finite_differences():
     e2 = _fd_ground_state(v, L, 4096)
     fd = (4.0 * e2 - e1) / 3.0  # h^2 Richardson
     grid = oracle.SpectralGrid(1, L, 256)
-    spec = oracle.operator_spectrum(grid, 2.0, v)
-    assert spec.eigenvalues[0] == pytest.approx(fd, abs=1e-4)
+    spec = oracle._spectrum(grid, 2.0, v)
+    assert spec[0] == pytest.approx(fd, abs=1e-4)
 
 
 def test_spectrum_bounds_and_reality():
     grid = oracle.SpectralGrid(1, 20.0, 128)
     free = oracle.free_multipliers(grid, 1.2)
-    spec = oracle.operator_spectrum(grid, 1.2, WELL)
-    assert np.isrealobj(spec.eigenvalues)
-    assert spec.eigenvalues.min() >= free.min() - WELL.sup_norm - 1e-10
-    assert spec.eigenvalues.max() <= free.max() + WELL.sup_norm + 1e-10
+    spec = oracle._spectrum(grid, 1.2, WELL)
+    assert np.isrealobj(spec)
+    assert spec.min() >= free.min() - WELL.sup_norm - 1e-10
+    assert spec.max() <= free.max() + WELL.sup_norm + 1e-10
 
 
 def test_zero_potential_curve_vanishes():
@@ -202,28 +202,14 @@ def test_convergence_gates_small():
 
 
 def test_free_match_warning_on_coarse_grid():
-    # the mismatch is data under both normalizations, a warning only under
-    # the continuum one, the only normalization that relies on it
+    # the free trace's mismatch with the continuum one is data, not a
+    # warning: the free normalization does not rely on it
     grid = oracle.SpectralGrid(1, 40.0, 64)
     tg = np.geomspace(1e-3, 1e-1, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        free = oracle.trace_difference_curve(WELL, 1.0, grid, tg)
-    with pytest.warns(UserWarning, match="free trace"):
-        cont = oracle.trace_difference_curve(WELL, 1.0, grid, tg, normalization="continuum")
-    assert free.meta["free_match_rel"] == cont.meta["free_match_rel"] > 1e-3
-
-
-def test_continuum_normalization_option():
-    grid = oracle.SpectralGrid(1, 40.0, 256)
-    tg = np.geomspace(5e-2, 2e-1, 4)
-    a = oracle.trace_difference_curve(WELL, 1.9, grid, tg, normalization="free")
-    b = oracle.trace_difference_curve(WELL, 1.9, grid, tg, normalization="continuum")
-    # where the discrete free trace has converged to the continuum one
-    # (largest t) the two normalizations coincide
-    assert a.normalized[-1] == pytest.approx(b.normalized[-1], rel=1e-4)
-    with pytest.raises(ValueError):
-        oracle.trace_difference_curve(WELL, 1.9, grid, tg, normalization="bogus")
+        curve = oracle.trace_difference_curve(WELL, 1.0, grid, tg)
+    assert curve.meta["free_match_rel"] > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +237,7 @@ def test_fit_accepts_schedule_and_merges():
     t = np.geomspace(1e-3, 1e-1, 40)
     y = t * 1.0 + t**2 * 0.5
     curve = oracle.TraceCurve(t, y, y, "free", {})
-    fit = oracle.fit_expansion(curve, sched, merge_tol=0.05)
+    fit = oracle.fit_expansion(curve, sched)
     # 2 + 2/1.95 ~ 3.026 merges with 3; 3 + 2/1.95 ~ 4.026 merges with 4
     assert len(fit.exponents) < len(sched.entries)
     merged = [grp for grp in fit.groups if len(grp) > 1]
@@ -260,10 +246,11 @@ def test_fit_accepts_schedule_and_merges():
 
 
 def test_fit_rank_deficiency_reported():
-    t = np.geomspace(1e-3, 1e-1, 20)
+    # on one repeated t every basis column is constant
+    t = np.full(20, 0.05)
     curve = _synthetic_curve([1.0], [1.0], t)
     with pytest.raises(np.linalg.LinAlgError, match="cond"):
-        oracle.fit_expansion(curve, [2.0, 2.0], merge_tol=0.0)
+        oracle.fit_expansion(curve, [1.0, 2.0])
 
 
 def test_fit_needs_enough_points():

@@ -1,6 +1,6 @@
 """Expansion coefficients: the L_j machinery, K constants, and conventions.
 
-Run:  python demos/03_expansion_constants.py   (about half a minute)
+Run:  python demos/03_expansion_constants.py   (a few seconds)
 """
 
 import math
@@ -13,10 +13,10 @@ from fracheat.potential import GaussianPotential
 rng = np.random.default_rng(23)
 v = GaussianPotential(1.0, 1.0)
 
-print("== deterministic alpha = 2 values ==")
-print(f"  K1 = {coeff.deterministic_constant_K('K1', 1):.12f}  (= 1/12)")
-print(f"  K2 = {coeff.deterministic_constant_K('K2', 1):.12f}  (= 1/60)")
-print(f"  K3 = {coeff.deterministic_constant_K('K3', 1):.12f}  (= 1/24)")
+print("== closed-form alpha = 2 values ==")
+print(f"  K1 = {coeff.deterministic_constant_K('K1', 1, 2.0):.12f}  (= 1/12)")
+print(f"  K2 = {coeff.deterministic_constant_K('K2', 1, 2.0):.12f}  (= 1/60)")
+print(f"  K3 = {coeff.deterministic_constant_K('K3', 1, 2.0):.12f}  (= 1/24)")
 
 print("\n== L_{1,alpha} -> 1/12 as alpha -> 2 ==")
 for alpha in (1.6, 1.7, 1.8, 1.9, 1.95):

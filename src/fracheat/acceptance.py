@@ -113,11 +113,11 @@ def criterion_03_cauchy_closed_form(seed) -> CriterionResult:
 
 
 def criterion_04_constants_at_two(seed) -> CriterionResult:
-    """Deterministic quadrature path: K1 = 1/12, K2 = 1/60, L = 1/12, N = 1/120."""
+    """Closed-form path: K1 = 1/12, K2 = 1/60, L = 1/12, N = 1/120."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
-    k1 = coeff.deterministic_constant_K("K1", 2)
-    k2 = coeff.deterministic_constant_K("K2", 2)
+    k1 = coeff.deterministic_constant_K("K1", 2, 2.0)
+    k2 = coeff.deterministic_constant_K("K2", 2, 2.0)
     checks = [
         (abs(k1 - 1.0 / 12.0) <= 1e-10, f"K1={k1!r}"),
         (abs(k2 - 1.0 / 60.0) <= 1e-10, f"K2={k2!r}"),
@@ -127,7 +127,7 @@ def criterion_04_constants_at_two(seed) -> CriterionResult:
         nv = coeff.constant_N(d, 2.0, 0, rng).value
         checks.append((abs(lv - 1.0 / 12.0) <= 1e-10, f"L(d={d},2)={lv!r}"))
         checks.append((abs(nv - 1.0 / 120.0) <= 1e-10, f"N(d={d},2)={nv!r}"))
-    return _result("04 K constants at alpha=2", checks, t0, "quadrature path")
+    return _result("04 K constants at alpha=2", checks, t0, "closed-form path")
 
 
 def criterion_05_robustness_trend(seed) -> CriterionResult:

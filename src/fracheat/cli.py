@@ -120,7 +120,7 @@ PARAMS = {
         Param("--x", _floats, "0.0", "distances from the origin"))),
     "constants": ("K1/K2/K3 and the L/M/N prefactors", (
         Param("--which", str.upper, help="K1, K2, K3, L, M or N"), D, ALPHA, MC_N,
-        Param("--analytic", _boolean, False, "quadrature path (alpha = 2 only)"))),
+        Param("--analytic", _boolean, False, "closed-form path (alpha = 2 only)"))),
     "coeff": ("Monte Carlo expansion coefficient C_{n,j}(V)", (
         Param("--n-index", int, help="power n of L_j"), Param("--j", int, help="order j"),
         D, ALPHA, POTENTIAL, SAMPLES)),
@@ -296,25 +296,13 @@ def _exp_kernel(cfg, rng):
 def _exp_constants(cfg, rng):
     p = cfg.params
     which, d, alpha, n = p["which"], p["d"], p["alpha"], p["n"]
-    if which in ("K1", "K2", "K3"):
-        if p["analytic"] or alpha == 2.0:
-            if alpha != 2.0:
-                raise ValueError("the analytic quadrature path requires alpha = 2")
-            val = coeff.deterministic_constant_K(which, d)
-            out = {"which": which, "d": d, "alpha": alpha, "value": val,
-                   "stderr": 0.0, "path": "quadrature"}
-        else:
-            est = coeff.mc_constant_K(which, d, alpha, n, rng)
-            out = {"which": which, "d": d, "alpha": alpha, "value": est.value,
-                   "stderr": est.stderr, "n_samples": n, "path": "mc"}
-    elif which in ("L", "M", "N"):
-        fn = {"L": coeff.constant_L, "M": coeff.constant_M, "N": coeff.constant_N}[which]
-        est = fn(d, alpha, n, rng)
-        out = {"which": which, "d": d, "alpha": alpha, "value": est.value,
-               "stderr": est.stderr, "n_samples": est.n_samples,
-               "path": est.params.get("path", "mc")}
-    else:
-        raise ValueError(f"unknown constant {which!r}")
+    if p["analytic"] and alpha != 2.0:
+        raise ValueError("the closed-form path requires alpha = 2")
+    fn = {"L": coeff.constant_L, "M": coeff.constant_M, "N": coeff.constant_N}.get(which)
+    est = fn(d, alpha, n, rng) if fn else coeff._scaled_constant(which, d, alpha, n, rng, 1.0)
+    out = {"which": which, "d": d, "alpha": alpha, "value": est.value,
+           "stderr": est.stderr, "n_samples": est.n_samples,
+           "path": est.params.get("path", "mc")}
     return out, None
 
 

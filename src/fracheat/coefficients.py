@@ -15,8 +15,8 @@ C_{d,alpha} = pi^{d/2} / p_1^{(alpha)}(0), and L_j is a nonnegative random
 quadratic form in the partial sums gamma_k = theta_1 + ... + theta_k weighted
 by the subordinator increments.  This module evaluates L_j, estimates the
 C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N by Monte Carlo
-(deterministic quadrature at alpha = 2), and generates exponent schedules
-with their validity conditions.
+(closed Gamma-function forms of K1/K2/K3 at alpha = 2), and generates
+exponent schedules with their validity conditions.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .heat_kernel import Estimate, kernel_at_zero
 from .subordinator import _row_blocks, increments_batch
@@ -113,14 +112,16 @@ def _lj_batch(heads, incs, totals, thetas):
 
 
 def _k_validity(which: str, d: int, alpha: float) -> None:
+    if which not in ("K1", "K2", "K3"):
+        raise ValueError(f"unknown constant {which!r}")
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha={alpha} outside (0, 2]")
     if alpha == 2.0:
         return
-    if which in ("K1", "K3"):
-        ok = (d >= 2) or (alpha > 0.5)
-    elif which == "K2":
+    if which == "K2":
         ok = alpha > {1: 1.5, 2: 1.0, 3: 0.5}.get(d, 0.0)
     else:
-        raise ValueError(f"unknown constant {which!r}")
+        ok = (d >= 2) or (alpha > 0.5)
     if not ok:
         raise ValueError(f"{which} is outside its validity range at d={d}, alpha={alpha}")
 
@@ -190,41 +191,35 @@ def mc_constant_K(
     return _mc_estimate(sample_fn, n_samples, vol, {"which": which, "d": d, "alpha": alpha})
 
 
-def deterministic_constant_K(which: str, d: int) -> float:
-    """Exact quadrature of K1/K2/K3 at alpha = 2 (deterministic increments).
+def deterministic_constant_K(which: str, d: int, alpha: float) -> float:
+    """K1, K2 or K3 in closed form, wherever _k_validity admits (which, d, alpha).
 
-    Values are d-independent there since the total is exactly 1:
-    K1 = 1/12, K2 = 1/60, K3 = 1/24.
+    x^{-s} = Gamma(s)^{-1} int u^{s-1} e^{-ux} du turns the simplex integrals
+    into Dirichlet moments and the u-integrals into Gamma functions; with
+    rho = alpha/2, s = 2 + d/2 and G(m) = Gamma((s + m rho - 4)/rho):
+
+        K1 = (alpha/24) Gamma(2 + (d-2)/alpha) / Gamma(1 + d/2),   K3 = K1/2,
+        K2 = [rho^4/60 G(4) - rho^3 (rho-1)/12 G(3) + rho^2 (rho-1)^2/12 G(2)] / (rho Gamma(s)).
+
+    At alpha = 2 these are 1/12, 1/60 and 1/24 for every d.
     """
-    if which == "K1":
-        f = lambda l2, l1: (1.0 - (l1 - l2)) * (l1 - l2)
-    elif which == "K2":
-        f = lambda l2, l1: ((1.0 - (l1 - l2)) * (l1 - l2)) ** 2
-    elif which == "K3":
-        def g(l3, l2, l1):
-            s1, s2 = l1 - l2, l2 - l3
-            s0 = 1.0 - (l1 - l3)
-            return s0 * s1 + s0 * s2 + s1 * s2
-
-        val, _ = integrate.tplquad(
-            g, 0, 1, lambda l1: 0, lambda l1: l1, lambda l1, l2: 0, lambda l1, l2: l2,
-            epsabs=1e-13, epsrel=1e-13,
-        )
-        return val
-    else:
-        raise ValueError(f"unknown constant {which!r}")
-    val, _ = integrate.dblquad(
-        f, 0, 1, lambda l1: 0, lambda l1: l1, epsabs=1e-14, epsrel=1e-14
-    )
-    return val
+    _k_validity(which, d, alpha)
+    if which == "K2":
+        rho, s = alpha / 2.0, 2.0 + d / 2.0
+        g = lambda m: math.gamma((s + m * rho - 4.0) / rho)
+        return (rho**4 / 60.0 * g(4) - rho**3 * (rho - 1.0) / 12.0 * g(3)
+                + rho**2 * (rho - 1.0) ** 2 / 12.0 * g(2)) / (rho * math.gamma(s))
+    k1 = alpha / 24.0 * math.gamma(2.0 + (d - 2.0) / alpha) / math.gamma(1.0 + d / 2.0)
+    return k1 / 2.0 if which == "K3" else k1
 
 
 def _scaled_constant(which, d, alpha, n_samples, rng, factor):
+    # factor times K: the closed form at alpha = 2, Monte Carlo below it
     if alpha == 2.0:
-        k = deterministic_constant_K(which, d)
+        k = deterministic_constant_K(which, d, alpha)
         return Estimate(
             value=factor * k, stderr=0.0, n_samples=0,
-            params={"which": which, "d": d, "alpha": alpha, "path": "quadrature"},
+            params={"which": which, "d": d, "alpha": alpha, "path": "closed_form"},
         )
     est = mc_constant_K(which, d, alpha, n_samples, rng)
     return Estimate(

@@ -84,12 +84,15 @@ class GaussianMixturePotential:
 
     # -- exact functionals -----------------------------------------------
 
-    def integral_power(self, k: int) -> float:
-        """int V^k, exact: multinomial expansion over Gaussian products."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+    def _gaussian_products(self, k: int):
+        """Each k-tuple of components with its product collapsed to one Gaussian.
+
+        prod_i c_i exp(-|x - x_i|^2 / s_i^2) = w exp(-A |x - mu|^2), A = sum_i 1/s_i^2.
+        Yields (idx, mass, P, var): mass = w (pi/A)^{d/2} is the product's
+        integral, P[m] = mu - x_{idx[m]} and var = 1/(2A), so the product times
+        f integrates to mass * E[f(X)] with X ~ N(mu, var I).
+        """
         prec = 1.0 / self.s**2
-        total = 0.0
         for combo in itertools.product(range(len(self.c)), repeat=k):
             idx = list(combo)
             a = prec[idx]
@@ -97,10 +100,52 @@ class GaussianMixturePotential:
             A = a.sum()
             mu = (a[:, None] * xs).sum(axis=0) / A
             B = (a * (xs**2).sum(axis=1)).sum() - A * (mu**2).sum()
-            total += np.prod(self.c[idx]) * math.exp(-B) * (math.pi / A) ** (self.d / 2.0)
+            mass = np.prod(self.c[idx]) * math.exp(-B) * (math.pi / A) ** (self.d / 2.0)
+            yield idx, mass, mu - xs, 0.5 / A
+
+    def integral_power(self, k: int) -> float:
+        """int V^k, exact."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return float(sum(mass for _, mass, _, _ in self._gaussian_products(k)))
+
+    def _gradient_products(self, k: int) -> float:
+        # int V^{k-2} |grad V|^2, grad V = -2 sum_i c_i e_i (x - x_i) / s_i^2: the
+        # last two slots carry the gradients, E[(X - x_i).(X - x_j)] = d var + P.Q
+        total = 0.0
+        for idx, mass, offs, var in self._gaussian_products(k):
+            i, j = idx[-2], idx[-1]
+            pq = offs[-2] @ offs[-1]
+            total += mass * 4.0 / (self.s[i] ** 2 * self.s[j] ** 2) * (self.d * var + pq)
         return float(total)
 
-    # Quadrature fallbacks; exact closed forms live on GaussianPotential.
+    def dirichlet_energy(self) -> float:
+        """int |grad V|^2, exact."""
+        return self._gradient_products(2)
+
+    def weighted_gradient(self) -> float:
+        """int V |grad V|^2, exact."""
+        return self._gradient_products(3)
+
+    def biharmonic_energy(self) -> float:
+        """int |Delta V|^2, exact.
+
+        Delta e_i = (a_i |x - x_i|^2 - b_i) e_i with a_i = 4/s_i^4, b_i = 2d/s_i^2.
+        With P = mu - x_i, Q = mu - x_j: E|X - x_i|^2 = d var + |P|^2 and
+        E[|X - x_i|^2 |X - x_j|^2] = (d^2 + 2d) var^2 + d var (|P|^2 + |Q|^2)
+        + 4 var P.Q + |P|^2 |Q|^2.
+        """
+        d, a, b = self.d, 4.0 / self.s**4, 2.0 * self.d / self.s**2
+        total = 0.0
+        for (i, j), mass, (p, q), var in self._gaussian_products(2):
+            pp, qq, pq = p @ p, q @ q, p @ q
+            fourth = (d * d + 2 * d) * var**2 + d * var * (pp + qq) + 4.0 * var * pq + pp * qq
+            total += mass * (a[i] * a[j] * fourth - a[i] * b[j] * (d * var + pp)
+                             - b[i] * a[j] * (d * var + qq) + b[i] * b[j])
+        return float(total)
+
+    # Quadrature for the one functional without a closed form: l1_norm of a
+    # signed mixture.
 
     def _quad_over_space(self, f):
         reach = float(np.abs(self.x0).max(initial=0.0) + 10.0 * self.s.max())
@@ -120,18 +165,7 @@ class GaussianMixturePotential:
                 epsrel=1e-9,
             )
             return val
-        raise NotImplementedError("quadrature functionals implemented for d <= 2")
-
-    def dirichlet_energy(self) -> float:
-        return float(self._quad_over_space(lambda x: (self.gradient(x) ** 2).sum()))
-
-    def biharmonic_energy(self) -> float:
-        return float(self._quad_over_space(lambda x: self.laplacian(x) ** 2))
-
-    def weighted_gradient(self) -> float:
-        return float(
-            self._quad_over_space(lambda x: self.evaluate(x) * (self.gradient(x) ** 2).sum())
-        )
+        raise NotImplementedError("quadrature implemented for d <= 2")
 
     # -- norms -------------------------------------------------------------
 
@@ -179,31 +213,10 @@ class GaussianMixturePotential:
 
 
 class GaussianPotential(GaussianMixturePotential):
-    """Single Gaussian bump c exp(-|x - x0|^2 / s^2) with closed-form functionals."""
+    """Single Gaussian bump c exp(-|x - x0|^2 / s^2)."""
 
     def __init__(self, c: float, s: float, center=None, d: int = 1):
         if center is None:
             center = np.zeros(d)
         center = np.atleast_1d(np.asarray(center, dtype=float))
         super().__init__([c], [s], center[None, :], d=len(center))
-        self.amplitude = float(c)
-        self.width = float(s)
-
-    def integral_power(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        c, s, d = self.amplitude, self.width, self.d
-        return c**k * (s * math.sqrt(math.pi / k)) ** d
-
-    def dirichlet_energy(self) -> float:
-        c, s, d = self.amplitude, self.width, self.d
-        return c**2 * d * (math.pi / 2.0) ** (d / 2.0) * s ** (d - 2)
-
-    def biharmonic_energy(self) -> float:
-        c, s, d = self.amplitude, self.width, self.d
-        return c**2 * d * (d + 2) * (math.pi / 2.0) ** (d / 2.0) * s ** (d - 4)
-
-    def weighted_gradient(self) -> float:
-        c, s, d = self.amplitude, self.width, self.d
-        return (2.0 / 3.0) * c**3 * d * (math.pi / 3.0) ** (d / 2.0) * s ** (d - 2)
-

@@ -11,9 +11,9 @@ from fracheat.potential import GaussianMixturePotential, GaussianPotential
 def test_parse_potential_variants():
     v = cli.parse_potential("gaussian:c=1,s=1")
     assert isinstance(v, GaussianPotential)
-    assert v.amplitude == 1.0 and v.width == 1.0
+    assert v.c[0] == 1.0 and v.s[0] == 1.0
     v = cli.parse_potential("gaussian:c=-2,s=0.5,x0=0.7")
-    assert v.amplitude == -2.0 and v.x0[0, 0] == 0.7
+    assert v.c[0] == -2.0 and v.s[0] == 0.5 and v.x0[0, 0] == 0.7
     v = cli.parse_potential("gaussians:c=1,s=1;c=-0.5,s=2,x0=1")
     assert isinstance(v, GaussianMixturePotential) and len(v.c) == 2
     v = cli.parse_potential("gaussian:c=1,s=1,x0=0.5|0.25", d=2)
@@ -150,16 +150,17 @@ def test_constants_analytic_path(tmp_path):
     ) == 0
     payload = _read_result(tmp_path)
     assert payload["value"] == pytest.approx(1.0 / 12.0, abs=1e-10)
-    assert payload["path"] == "quadrature"
+    assert payload["path"] == "closed_form"
 
 
 def test_constants_analytic_requires_alpha2(tmp_path):
-    code = run_cli(
-        ["constants", "--which", "K1", "--d", "2", "--alpha", "1.5", "--analytic",
-         "--seed", "0"],
-        tmp_path,
-    )
-    assert code == 4
+    for which in ("K1", "L"):
+        code = run_cli(
+            ["constants", "--which", which, "--d", "2", "--alpha", "1.5", "--analytic",
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert code == 4
 
 
 def test_coeff_validity_violation_named(tmp_path, capsys):

@@ -72,9 +72,44 @@ def test_lj_forms_agree_and_bounds(j, d):
 
 
 def test_deterministic_k_values():
-    assert coeff.deterministic_constant_K("K1", 1) == pytest.approx(1.0 / 12.0, abs=1e-11)
-    assert coeff.deterministic_constant_K("K2", 3) == pytest.approx(1.0 / 60.0, abs=1e-11)
-    assert coeff.deterministic_constant_K("K3", 1) == pytest.approx(1.0 / 24.0, abs=1e-10)
+    assert coeff.deterministic_constant_K("K1", 1, 2.0) == pytest.approx(1.0 / 12.0, abs=1e-11)
+    assert coeff.deterministic_constant_K("K2", 3, 2.0) == pytest.approx(1.0 / 60.0, abs=1e-11)
+    assert coeff.deterministic_constant_K("K3", 1, 2.0) == pytest.approx(1.0 / 24.0, abs=1e-10)
+
+
+# K2 at d <= 2 is left out: its Monte Carlo integrand has infinite variance
+# there for every alpha < 2, so a z-score would mean nothing
+@pytest.mark.parametrize("which,d,alpha", [("K1", 1, 1.8), ("K3", 2, 1.2), ("K2", 3, 1.5),
+                                           ("K1", 3, 0.8)])
+@pytest.mark.parametrize("seed", [0, 31337])
+def test_exact_K_matches_mc(which, d, alpha, seed):
+    est = coeff.mc_constant_K(which, d, alpha, 1 << 21, rng(seed))
+    exact = coeff.deterministic_constant_K(which, d, alpha)
+    assert abs(est.value - exact) <= 4.0 * est.stderr
+
+
+def test_exact_K_at_alpha2_and_validity():
+    for d in (1, 2, 3):
+        got = [coeff.deterministic_constant_K(w, d, 2.0) for w in ("K1", "K2", "K3")]
+        assert got == pytest.approx([1 / 12, 1 / 60, 1 / 24], rel=1e-14)
+    for args in [("K1", 1, 0.5), ("K2", 1, 1.5), ("K2", 2, 1.0), ("K2", 3, 0.5),
+                 ("K1", 2, 2.5), ("K1", 2, 0.0), ("K4", 1, 2.0)]:
+        with pytest.raises(ValueError):
+            coeff.deterministic_constant_K(*args)
+
+
+def test_exact_L_matches_algebraic_form():
+    # L_{d,alpha} = alpha^2 Gamma(2 + (d-2)/alpha) / (24 d Gamma(d/alpha)), the
+    # form obtained by cancelling Gamma(d/2) between C_{d,alpha} and K1
+    for d in (1, 2, 3):
+        for alpha in (0.8, 1.0, 1.2, 1.5, 1.8, 1.95, 2.0):
+            want = alpha**2 * math.gamma(2 + (d - 2) / alpha) / (24 * d * math.gamma(d / alpha))
+            if alpha == 2.0:
+                got = coeff.constant_L(d, alpha, 0, rng()).value
+            else:
+                k1 = coeff.deterministic_constant_K("K1", d, alpha)
+                got = coeff.c_d_alpha(d, alpha) / (2 * math.pi) ** d * k1
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("which,exact", [("K1", 1 / 12), ("K2", 1 / 60), ("K3", 1 / 24)])

@@ -1,0 +1,19 @@
+"""Every demo runs to completion, so a stale call site in demos/ fails the suite."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=600, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -77,6 +77,24 @@ def test_d2_gaussian_closed_forms():
     assert v.dirichlet_energy() == pytest.approx(num, rel=1e-7)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_gaussian_closed_forms(d):
+    # the single-Gaussian formulas, kept here as the reference for the
+    # k-tuple route the class computes every functional by
+    c, s = -1.3, 0.8
+    for center in (np.zeros(d), np.linspace(0.7, -0.4, d)):
+        v = GaussianPotential(c, s, center=center)
+        for k in (1, 2, 3):
+            want = c**k * (s * math.sqrt(math.pi / k)) ** d
+            assert v.integral_power(k) == pytest.approx(want, rel=1e-13)
+        half = (math.pi / 2.0) ** (d / 2.0)
+        assert v.dirichlet_energy() == pytest.approx(c**2 * d * half * s ** (d - 2), rel=1e-13)
+        want = c**2 * d * (d + 2) * half * s ** (d - 4)
+        assert v.biharmonic_energy() == pytest.approx(want, rel=1e-13)
+        want = (2.0 / 3.0) * c**3 * d * (math.pi / 3.0) ** (d / 2.0) * s ** (d - 2)
+        assert v.weighted_gradient() == pytest.approx(want, rel=1e-13)
+
+
 def test_shifted_gaussian_fourier():
     v = GaussianPotential(1.0, 1.0, center=0.7)
     z = v.fourier(2.0)
@@ -112,6 +130,20 @@ def test_mixture_energies_vs_direct_quadrature():
     assert v.dirichlet_energy() == pytest.approx(num, rel=1e-8)
     num, _ = integrate.quad(lambda x: v.evaluate(x) * (v.gradient(x) ** 2).sum(), -30, 30)
     assert v.weighted_gradient() == pytest.approx(num, rel=1e-8)
+    num, _ = integrate.quad(lambda x: v.laplacian(x) ** 2, -30, 30, epsabs=1e-12)
+    assert v.biharmonic_energy() == pytest.approx(num, rel=1e-8)
+
+
+def test_d2_mixture_energies_vs_dblquad():
+    v = GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [[0.0, 0.0], [1.0, 0.3]], d=2)
+    integrands = [
+        (v.dirichlet_energy(), lambda p: (v.gradient(p) ** 2).sum()),
+        (v.weighted_gradient(), lambda p: v.evaluate(p) * (v.gradient(p) ** 2).sum()),
+    ]
+    for got, f in integrands:
+        num, _ = integrate.dblquad(lambda y, x: f((x, y)), -21, 21, -21, 21,
+                                   epsabs=1e-11, epsrel=1e-9)
+        assert got == pytest.approx(num, rel=1e-7)
 
 
 def test_mixture_norms():

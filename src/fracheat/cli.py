@@ -41,6 +41,8 @@ from . import trace_oracle as oracle
 from .acceptance import acceptance_suite
 
 SCHEMA_VERSION = 1
+#: result fields the manifest repeats: how an estimate was sampled
+SAMPLING = ("method", "scrambles", "n_samples")
 
 
 @functools.cache
@@ -103,6 +105,8 @@ D = Param("--d", int, 1, "dimension")
 POTENTIAL = Param("--potential", str, help="gaussian:c=1,s=1[,x0=0.5], ';' between bumps")
 SAMPLES = Param("--samples", int, 10**6, "Monte Carlo samples")
 MC_N = Param("--n", int, 10**6, "Monte Carlo samples")
+#: the randomized quasi-Monte Carlo estimators evaluate whole scrambles
+ROUNDED = f"; rounded up to a multiple of {coeff.SCRAMBLES} scrambled Sobol points"
 
 #: subcommand -> (help, parameters)
 PARAMS = {
@@ -119,11 +123,12 @@ PARAMS = {
         D, ALPHA, Param("--t", _floats, "1.0", "times"),
         Param("--x", _floats, "0.0", "distances from the origin"))),
     "constants": ("K1/K2/K3 and the L/M/N prefactors", (
-        Param("--which", str.upper, help="K1, K2, K3, L, M or N"), D, ALPHA, MC_N,
+        Param("--which", str.upper, help="K1, K2, K3, L, M or N"), D, ALPHA,
+        MC_N._replace(help=MC_N.help + ROUNDED),
         Param("--analytic", _boolean, False, "closed-form path (alpha = 2 only)"))),
     "coeff": ("Monte Carlo expansion coefficient C_{n,j}(V)", (
         Param("--n-index", int, help="power n of L_j"), Param("--j", int, help="order j"),
-        D, ALPHA, POTENTIAL, SAMPLES)),
+        D, ALPHA, POTENTIAL, SAMPLES._replace(help=SAMPLES.help + ROUNDED))),
     "schedule": ("exponent matrix A_J(alpha), schedule entries, validity", (
         Param("--J", int, 4, "largest order J"), ALPHA,
         Param("--M", int, 2, "Taylor order M"), D)),
@@ -303,7 +308,13 @@ def _exp_constants(cfg, rng):
     out = {"which": which, "d": d, "alpha": alpha, "value": est.value,
            "stderr": est.stderr, "n_samples": est.n_samples,
            "path": est.params.get("path", "mc")}
+    out.update(_sampling(est))
     return out, None
+
+
+def _sampling(est) -> dict:
+    # how a Monte Carlo estimate was sampled, as its params record it
+    return {k: est.params[k] for k in SAMPLING if k in est.params}
 
 
 def _exp_coeff(cfg, rng):
@@ -312,7 +323,8 @@ def _exp_coeff(cfg, rng):
     est = coeff.mc_coefficient_Cnj(v, p["n_index"], p["j"], p["d"], p["alpha"],
                                    p["samples"], rng)
     return {"n": p["n_index"], "j": p["j"], "d": p["d"], "alpha": p["alpha"],
-            "value": est.value, "stderr": est.stderr, "n_samples": est.n_samples}, None
+            "value": est.value, "stderr": est.stderr, "n_samples": est.n_samples,
+            **_sampling(est)}, None
 
 
 def _exp_schedule(cfg, rng):
@@ -458,6 +470,9 @@ def run(cfg: RunConfig, no_cache: bool = False) -> int:
         "wall_time_s": round(time.time() - t0, 3),
         "exit_status": status,
     }
+    sampling = {k: payload[k] for k in SAMPLING if k in payload}
+    if sampling:
+        manifest["sampling"] = sampling
     tmp = manifest_path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -14,9 +14,17 @@ where I_j is the ordered simplex 0 < lam_j < ... < lam_1 < 1,
 C_{d,alpha} = pi^{d/2} / p_1^{(alpha)}(0), and L_j is a nonnegative random
 quadratic form in the partial sums gamma_k = theta_1 + ... + theta_k weighted
 by the subordinator increments.  This module evaluates L_j, estimates the
-C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N by Monte Carlo
-(closed Gamma-function forms of K1/K2/K3 at alpha = 2), and generates
-exponent schedules with their validity conditions.
+C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N by randomized
+quasi-Monte Carlo (closed Gamma-function forms of K1/K2/K3 at alpha = 2),
+and generates exponent schedules with their validity conditions.
+
+Both estimators run through one engine, _mc_estimate: the samplers
+(_sorted_simplex, increments_batch, the potential's proposal_sample) draw
+every uniform from a PointStream of scrambled Sobol points in place of a
+Generator, SCRAMBLES independent scrambles of ceil(n / SCRAMBLES) points
+each are averaged, and the stderr is the spread of the scramble means.
+That stderr holds also where the integrand's fourth moment is infinite
+(K1 at d = 1), but it needs a finite variance (not K2 at d <= 2).
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heat_kernel import Estimate, kernel_at_zero
+from .sobol import ScrambledSobol
 from .subordinator import _row_blocks, increments_batch
 
 __all__ = [
@@ -47,6 +56,9 @@ __all__ = [
     "remainder_bound",
 ]
 
+#: Independent scrambles behind every randomized quasi-Monte Carlo estimate.
+SCRAMBLES = 32
+#: Points of one scramble generated and evaluated together, bounding memory.
 _CHUNK = 1 << 20
 
 
@@ -147,20 +159,36 @@ def _sorted_simplex(rng, n, j):
     return out
 
 
-def _mc_estimate(sample_fn, n_samples, scale, params) -> Estimate:
-    # scale times the mean of sample_fn's draws, accumulated chunk by chunk
-    total = 0.0
-    total2 = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        f = sample_fn(m)
-        total += f.sum()
-        total2 += (f * f).sum()
-        done += m
-    mean = total / n_samples
-    var = max(total2 - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
-    return Estimate(scale * mean, scale * math.sqrt(var / n_samples), n_samples, params)
+def _mc_estimate(sample_fn, dim, n_samples, scale, params, rng) -> Estimate:
+    """scale times the mean of sample_fn over SCRAMBLES scrambled Sobol nets.
+
+    Each scramble of ceil(n_samples / SCRAMBLES) points is generated and
+    evaluated on its own, at most _CHUNK points at a time: sample_fn(points, m)
+    draws every uniform of m rows from the PointStream ``points``, which must
+    serve exactly ``dim`` columns.  The value is the mean of the scramble
+    means and the stderr their standard deviation over sqrt(SCRAMBLES).
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples={n_samples} must be >= 1")
+    m = -(-n_samples // SCRAMBLES)
+    means = np.empty(SCRAMBLES)
+    for r in range(SCRAMBLES):
+        net = ScrambledSobol(dim, m, rng)
+        total = 0.0
+        for start in range(0, m, _CHUNK):
+            count = min(_CHUNK, m - start)
+            points = net.stream(start, count)
+            total += sample_fn(points, count).sum()
+            points.finish()
+        means[r] = total / m
+    return Estimate(float(scale * means.mean()),
+                    float(scale * means.std(ddof=1) / math.sqrt(SCRAMBLES)),
+                    SCRAMBLES * m, dict(params, method="rqmc", scrambles=SCRAMBLES))
+
+
+def _kanter_columns(j, alpha):
+    # uniforms increments_batch draws per row: (u, e) for each of j increments
+    return 2 * j if alpha < 2.0 else 0
 
 
 def mc_constant_K(
@@ -171,16 +199,17 @@ def mc_constant_K(
     K1 = int_{I_2} E[ S*_{1-w} S*_w / (S*_{1-w}+S*_w)^{1+d/2} ],  w = lam_1-lam_2,
     K2 the same with squared numerator and exponent 2 + d/2, and K3 the
     I_3 integral of the symmetrized pair products over (head, inc_1, inc_2).
-    Sampling: lam uniform on the simplex, increments exact; the estimator
-    averages the integrand times the simplex volume.
+    Sampling: lam uniform on the simplex, increments exact, both by inverse
+    transforms of scrambled Sobol points (randomized quasi-Monte Carlo); the
+    estimator averages the integrand times the simplex volume.
     """
     _k_validity(which, d, alpha)
     j = 3 if which == "K3" else 2
     vol = 1.0 / math.factorial(j)
 
-    def sample_fn(m):
-        lam = _sorted_simplex(rng, m, j)
-        heads, incs, totals = increments_batch(alpha, lam, rng)
+    def sample_fn(points, m):
+        lam = _sorted_simplex(points, m, j)
+        heads, incs, totals = increments_batch(alpha, lam, points)
         if which == "K1":
             return incs[:, 0] * heads / totals ** (1.0 + d / 2.0)
         if which == "K2":
@@ -188,7 +217,9 @@ def mc_constant_K(
         pair = heads * incs[:, 0] + heads * incs[:, 1] + incs[:, 0] * incs[:, 1]
         return pair / totals ** (1.0 + d / 2.0)
 
-    return _mc_estimate(sample_fn, n_samples, vol, {"which": which, "d": d, "alpha": alpha})
+    dim = j + _kanter_columns(j, alpha)
+    return _mc_estimate(sample_fn, dim, n_samples, vol,
+                        {"which": which, "d": d, "alpha": alpha}, rng)
 
 
 def deterministic_constant_K(which: str, d: int, alpha: float) -> float:
@@ -224,7 +255,7 @@ def _scaled_constant(which, d, alpha, n_samples, rng, factor):
     est = mc_constant_K(which, d, alpha, n_samples, rng)
     return Estimate(
         value=factor * est.value, stderr=factor * est.stderr,
-        n_samples=n_samples, params=est.params,
+        n_samples=est.n_samples, params=est.params,
     )
 
 
@@ -262,14 +293,16 @@ def constant_M(d, alpha, n_samples, rng) -> Estimate:
 def mc_coefficient_Cnj(
     V, n: int, j: int, d: int, alpha: float, n_samples: int, rng: np.random.Generator
 ) -> Estimate:
-    """Importance-sampled Monte Carlo estimate of C_{n,j}(V).
+    """Importance-sampled randomized quasi-Monte Carlo estimate of C_{n,j}(V).
 
     lam is uniform on the simplex I_j; each theta_i is drawn from the
     normalized envelope of |Vhat| (exact for the Gaussian family); the
     estimator carries the sign and phase through the product
     Vhat(-(theta_1+..+theta_{j-1})) * prod_i Vhat(theta_i) divided by the
-    proposal density.  For n = 0 this reduces to int V^j / j!, the
-    convention gate for all (2 pi) powers and simplex volumes.
+    proposal density.  Every draw is an inverse transform of scrambled Sobol
+    points, at most 32 dimensions: j + 2j (alpha < 2) + (j-1)(d + 1 for a
+    mixture).  For n = 0 this reduces to int V^j / j!, the convention gate
+    for all (2 pi) powers and simplex volumes.
     """
     if j < 2:
         raise ValueError("j must be >= 2 (the j = 1 term is -t int V)")
@@ -299,18 +332,23 @@ def mc_coefficient_Cnj(
         ljn = _lj_batch(heads, incs, totals, th) ** n if n > 0 else 1.0
         return totals ** (-d / 2.0) * ljn * w
 
-    def sample_fn(m):
-        # every draw of the chunk first, in the same order as ever; then the
-        # integrand one cache-sized row block at a time
-        lam = _sorted_simplex(rng, m, j)
-        heads, incs, totals = increments_batch(alpha, lam, rng)
-        th = V.proposal_sample(rng, (m, j - 1))
+    def sample_fn(points, m):
+        # every draw of the chunk first; then the integrand one cache-sized
+        # row block at a time
+        lam = _sorted_simplex(points, m, j)
+        heads, incs, totals = increments_batch(alpha, lam, points)
+        th = V.proposal_sample(points, (m, j - 1))
         f = np.empty(m)
         for b in _row_blocks(m):
             f[b] = integrand(heads[b], incs[b], totals[b], th[b])
         return f
 
-    return _mc_estimate(sample_fn, n_samples, pref, {"n": n, "j": j, "d": d, "alpha": alpha})
+    # proposal_sample draws d normals per theta, and a component when there
+    # are several
+    theta_columns = (j - 1) * (d + (len(V.c) > 1))
+    dim = j + _kanter_columns(j, alpha) + theta_columns
+    return _mc_estimate(sample_fn, dim, n_samples, pref,
+                        {"n": n, "j": j, "d": d, "alpha": alpha}, rng)
 
 
 # ---------------------------------------------------------------------------

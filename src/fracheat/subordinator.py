@@ -115,9 +115,10 @@ class SubordinatorSpec:
 _BLOCK = 1 << 14
 
 
-def _row_blocks(n: int):
-    """Slices of at most ``_BLOCK`` rows that cover ``range(n)`` in order."""
-    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+def _row_blocks(n: int, width: int = 1):
+    """Slices of at most ``_BLOCK // width`` rows that cover ``range(n)`` in order."""
+    rows = max(1, _BLOCK // width)
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 
 def _log_sin(x: np.ndarray) -> np.ndarray:
@@ -147,12 +148,13 @@ def _kanter_log(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _kanter_unit(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # S_1 = exp(_kanter_log(rho, u, e)) elementwise for any shape, evaluated
-    # over the flattened draws one block at a time
+    # S_1 = exp(_kanter_log(rho, u, e)) elementwise, evaluated about _BLOCK
+    # values at a time in blocks of rows; row blocks are views in any memory
+    # layout, where flattening would copy the column-major draws of a
+    # PointStream
     out = np.empty(u.shape)
-    flat_u, flat_e, flat_out = u.reshape(-1), e.reshape(-1), out.reshape(-1)
-    for b in _row_blocks(flat_u.size):
-        flat_out[b] = np.exp(_kanter_log(rho, flat_u[b], flat_e[b]))
+    for b in _row_blocks(u.shape[0], math.prod(u.shape[1:])):
+        out[b] = np.exp(_kanter_log(rho, u[b], e[b]))
     return out
 
 
@@ -226,9 +228,12 @@ def increments_batch(alpha: float, lam: np.ndarray, rng: np.random.Generator):
 
     ``lam`` has shape (n, j), each row strictly decreasing in (0, 1).
     Returns ``(heads, incs, totals)`` with shapes (n,), (n, j-1), (n,).
+    ``rng`` needs only ``uniform`` and ``standard_exponential``.
     """
     lam = np.asarray(lam, dtype=float)
-    gaps = -np.diff(lam, axis=1)
+    # column arithmetic: np.diff and .sum(axis=1) on a few columns spend
+    # most of their time in per-row overhead; the values are the same
+    gaps = lam[:, :-1] - lam[:, 1:]
     head_times = 1.0 - (lam[:, 0] - lam[:, -1])
     if alpha == 2.0:
         heads, incs = head_times, gaps
@@ -241,7 +246,10 @@ def increments_batch(alpha: float, lam: np.ndarray, rng: np.random.Generator):
         unit = _kanter_unit(rho, u, e)
         heads = head_times**scale * unit[:, 0]
         incs = gaps**scale * unit[:, 1:]
-    return heads, incs, heads + incs.sum(axis=1)
+    inc_sum = incs[:, 0]
+    for k in range(1, incs.shape[1]):
+        inc_sum = inc_sum + incs[:, k]
+    return heads, incs, heads + inc_sum
 
 
 def tail_lower_bound(alpha: float):

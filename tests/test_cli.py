@@ -153,6 +153,22 @@ def test_constants_analytic_path(tmp_path):
     assert payload["path"] == "closed_form"
 
 
+@pytest.mark.parametrize("args", [
+    ["coeff", "--n-index", "1", "--j", "2", "--alpha", "1.8", "--potential",
+     "gaussian:c=1,s=1", "--samples", "1000"],
+    ["constants", "--which", "L", "--alpha", "1.8", "--n", "1000"],
+], ids=["coeff", "constants"])
+def test_estimate_records_sampling(tmp_path, args):
+    # payload and manifest carry the method, the scrambles and the number of
+    # points evaluated, 1000 rounded up to whole scrambles
+    assert run_cli(args + ["--seed", "0"], tmp_path) == 0
+    payload = _read_result(tmp_path)
+    want = {"method": "rqmc", "scrambles": coeff.SCRAMBLES, "n_samples": 1024}
+    assert {k: payload[k] for k in want} == want
+    (d,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    assert json.loads((d / "manifest.json").read_text())["sampling"] == want
+
+
 def test_constants_analytic_requires_alpha2(tmp_path):
     for which in ("K1", "L"):
         code = run_cli(

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -144,9 +147,12 @@ def test_constants_at_alpha2_exact():
 
 
 def test_constant_reproducibility():
-    a = coeff.constant_L(1, 1.7, 10**5, rng(9)).value
-    b = coeff.constant_L(1, 1.7, 10**5, rng(9)).value
+    a = coeff.constant_L(1, 1.7, 10**5, rng(9))
+    b = coeff.constant_L(1, 1.7, 10**5, rng(9))
     assert a == b
+    v = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
+    a = coeff.mc_coefficient_Cnj(v, 1, 2, 1, 1.8, 10**4, rng(9))
+    assert a == coeff.mc_coefficient_Cnj(v, 1, 2, 1, 1.8, 10**4, rng(9))
 
 
 @pytest.mark.parametrize("j", [2, 3, 4])
@@ -156,13 +162,13 @@ def test_sorted_simplex_equals_sort(j):
     assert np.array_equal(got, want)
 
 
-# Values and stderrs of two estimates at a fixed seed, recorded with the
-# unblocked, np.sin-based Kanter transform that preceded the half-angle,
-# row-blocked one.  The sample count is a multiple of neither the chunk nor
-# the block size, so the partial last chunk and block are both exercised.
+# Values and stderrs of two randomized quasi-Monte Carlo estimates at a fixed
+# seed.  The sample count is a multiple of neither SCRAMBLES nor the block
+# size, so the round-up to whole scrambles and the partial last row block
+# are both exercised.
 PINNED_N = 2**20 + 3 * 2**14 + 77
-PINNED_K3 = (0.03750484443862226, 1.253807030004014e-05)
-PINNED_C12 = (0.14436096735940726, 0.0001694151679751642)
+PINNED_K3 = (0.0374793750788755, 2.421688375271626e-06)
+PINNED_C12 = (0.14447280165274018, 2.4288079373144564e-05)
 
 
 def test_same_seed_same_estimates():
@@ -171,6 +177,76 @@ def test_same_seed_same_estimates():
     c12 = coeff.mc_coefficient_Cnj(mix, 1, 2, 1, 1.8, PINNED_N, rng(27182))
     assert (k3.value, k3.stderr) == pytest.approx(PINNED_K3, rel=1e-12, abs=0.0)
     assert (c12.value, c12.stderr) == pytest.approx(PINNED_C12, rel=1e-12, abs=0.0)
+    rounded = coeff.SCRAMBLES * -(-PINNED_N // coeff.SCRAMBLES)
+    assert k3.n_samples == c12.n_samples == rounded
+    for est in (k3, c12):
+        assert est.params["method"] == "rqmc" and est.params["scrambles"] == coeff.SCRAMBLES
+
+
+def test_scramble_blocks_match_whole_scrambles(monkeypatch):
+    # a scramble generated and evaluated in blocks of points gives the
+    # estimate of the whole scramble at once, up to summation order
+    v = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
+    n = coeff.SCRAMBLES * 5000
+    whole = coeff.mc_coefficient_Cnj(v, 1, 3, 1, 1.8, n, rng(3))
+    monkeypatch.setattr(coeff, "_CHUNK", 1 << 10)
+    blocked = coeff.mc_coefficient_Cnj(v, 1, 3, 1, 1.8, n, rng(3))
+    assert blocked.value == pytest.approx(whole.value, rel=1e-12)
+    assert blocked.stderr == pytest.approx(whole.stderr, rel=1e-9)
+
+
+def test_point_dimension_limit_named():
+    # j + 2j + (j-1)(d+1) uniforms per point: 39 at j = 7, d = 3 with a mixture
+    v = GaussianMixturePotential([1.0, 0.5], [1.0, 2.0], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="32"):
+        coeff.mc_coefficient_Cnj(v, 0, 7, 3, 1.5, 1000, rng())
+
+
+def test_estimators_do_not_import_scipy_stats():
+    # scipy.stats costs about 0.3 s to import; the estimators must not need it
+    code = ("import sys, numpy as np, fracheat\n"
+            "from fracheat import coefficients as c, potential as p\n"
+            "c.mc_coefficient_Cnj(p.GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, 4096,"
+            " np.random.default_rng(0))\n"
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _exact_l_dirichlet(alpha):
+    v = GaussianPotential(1.0, 1.0)
+    l_const = coeff.c_d_alpha(1, alpha) / (2 * math.pi) * coeff.deterministic_constant_K(
+        "K1", 1, alpha)
+    return l_const * v.dirichlet_energy()
+
+
+# Coverage of the scramble-based stderr over 20 scramble seeds, with the
+# thresholds fixed before the first run: every |z| <= 4, and at most 2 of 20
+# beyond 3 (t with 31 degrees of freedom puts 0.5% there).
+COVERAGE = {
+    "K1 d=1 alpha=1.8": (lambda n, r: coeff.mc_constant_K("K1", 1, 1.8, n, r),
+                         lambda: coeff.deterministic_constant_K("K1", 1, 1.8)),
+    "K3 d=2 alpha=1.2": (lambda n, r: coeff.mc_constant_K("K3", 2, 1.2, n, r),
+                         lambda: coeff.deterministic_constant_K("K3", 2, 1.2)),
+    "C_02 gaussian alpha=1": (
+        lambda n, r: coeff.mc_coefficient_Cnj(GaussianPotential(1.0, 1.0), 0, 2, 1, 1.0, n, r),
+        lambda: GaussianPotential(1.0, 1.0).integral_power(2) / 2.0),
+    "C_12 gaussian alpha=1.8": (
+        lambda n, r: coeff.mc_coefficient_Cnj(GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, n, r),
+        lambda: _exact_l_dirichlet(1.8)),
+}
+
+
+@pytest.mark.parametrize("name", list(COVERAGE))
+def test_rqmc_stderr_covers_exact_value(name):
+    estimate, exact = COVERAGE[name]
+    want = exact()
+    z = np.array([(e.value - want) / e.stderr
+                  for e in (estimate(1 << 16, rng(seed)) for seed in range(20))])
+    assert np.all(np.abs(z) <= 4.0), z
+    assert np.sum(np.abs(z) > 3.0) <= 2, z
 
 
 # ---------------------------------------------------------------------------

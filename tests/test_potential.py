@@ -106,6 +106,20 @@ def test_shifted_gaussian_fourier():
     assert v.integral_power(2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_offcentre_fourier_matches_complex_exp(d):
+    # the cos/sin phase against the complex-exp form it replaced
+    v = GaussianMixturePotential([1.0, -0.6, 0.3], [1.0, 0.5, 1.4],
+                                 np.array([[0.4, -0.2], [-0.3, 0.5], [0.0, 0.9]])[:, :d])
+    xi = np.random.default_rng(d).normal(0.0, 3.0, (1 << 14, d))
+    amp = v.c * (v.s * math.sqrt(math.pi)) ** d
+    envelope = amp * np.exp(-(v.s**2) * (xi**2).sum(axis=-1)[:, None] / 4.0)
+    want = (envelope * np.exp(-1j * (xi[:, None, :] * v.x0).sum(axis=-1))).sum(axis=-1)
+    got = v.fourier(xi)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    assert v.fourier(xi[0]) == pytest.approx(complex(want[0]), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # mixtures
 

@@ -10,7 +10,7 @@ import types
 import pytest
 
 MODULES = ("subordinator", "heat_kernel", "potential", "coefficients", "trace_oracle",
-           "acceptance", "cli")
+           "acceptance", "cli", "sobol")
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 

@@ -43,6 +43,9 @@ def test_kanter_blocks_match_one_shot():
     e = rng(4).standard_exponential((n, 3))
     whole = np.exp(sub._kanter_log(0.9, u, e))
     assert np.array_equal(sub._kanter_unit(0.9, u, e), whole)
+    # column-major draws, as a PointStream serves them, block by rows alike
+    f_u, f_e = np.asfortranarray(u), np.asfortranarray(e)
+    assert np.array_equal(sub._kanter_unit(0.9, f_u, f_e), whole)
 
 
 def test_alpha2_is_deterministic():
@@ -161,6 +164,18 @@ def test_increments_partition_identity_bit_exact():
         assert incs.shape == (3,)
         assert total == head + np.sum(incs)
         assert head > 0 and np.all(incs > 0)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
+def test_increments_column_arithmetic_matches_reductions(j):
+    # gaps and totals by column arithmetic equal the np.diff and .sum(axis=1)
+    # expressions they replaced, bit for bit
+    lam = np.sort(rng(j).uniform(0.001, 0.999, (5000, j)), axis=1)[:, ::-1]
+    heads, incs, totals = sub.increments_batch(2.0, lam, rng())
+    assert np.array_equal(incs, -np.diff(lam, axis=1))
+    assert np.array_equal(totals, heads + incs.sum(axis=1))
+    heads, incs, totals = sub.increments_batch(1.3, lam, rng(j + 10))
+    assert np.array_equal(totals, heads + incs.sum(axis=1))
 
 
 def test_increments_rejects_bad_lambda():

@@ -46,6 +46,9 @@ N1_CLOSED_FORM = (1.0 - 0.5 * math.sqrt(math.pi) * (math.exp(0.25) - 1.0)) ** -2
 _THRESHOLD_MARGIN = 0.01
 #: sample_relativistic refuses an expected acceptance rate exp(-m t) below this.
 _MIN_ACCEPTANCE = 1e-6
+#: Proposals sample_relativistic draws at once at most, bounding its working
+#: set beyond the returned array.
+_MAX_PROPOSALS = 1 << 16
 
 
 def _validate_alpha(alpha: float, *, allow_two: bool = True) -> None:
@@ -292,7 +295,9 @@ def sample_relativistic(
     The density factorizes as exp(m t) * eta_t^{(alpha/2)}(s) * exp(-m^{2/alpha} s),
     so rejection from the stable proposal with acceptance probability
     exp(-m^{2/alpha} s) is exact.  The expected acceptance rate is exp(-m t);
-    the call is refused when that falls below ``_MIN_ACCEPTANCE``.
+    the call is refused when that falls below ``_MIN_ACCEPTANCE``.  Proposals
+    are drawn in batches of at most ``_MAX_PROPOSALS``, each sized to fill
+    the remaining samples with a 20% margin.
 
     With ``return_stats=True`` also returns the total numbers of proposals
     and of accepted proposals (the retained samples are the first ``size``
@@ -315,7 +320,7 @@ def sample_relativistic(
     proposals = 0
     accepted = 0
     while filled < n:
-        batch = max(1024, int(1.2 * (n - filled) / expected_rate))
+        batch = min(_MAX_PROPOSALS, max(1024, int(1.2 * (n - filled) / expected_rate)))
         s = sample_stable(alpha, t, rng, size=batch)
         keep = rng.uniform(0.0, 1.0, batch) < np.exp(-tilt * s)
         kept = s[keep]

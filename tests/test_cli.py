@@ -5,6 +5,7 @@ import pytest
 
 from fracheat import cli
 from fracheat import coefficients as coeff
+from fracheat import heat_kernel as hk
 from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
 
@@ -157,16 +158,30 @@ def test_constants_analytic_path(tmp_path):
     ["coeff", "--n-index", "1", "--j", "2", "--alpha", "1.8", "--potential",
      "gaussian:c=1,s=1", "--samples", "1000"],
     ["constants", "--which", "L", "--alpha", "1.8", "--n", "1000"],
-], ids=["coeff", "constants"])
+    ["relativistic", "--alpha", "1.0", "--m", "1.0", "--samples", "1000"],
+    ["mixed", "--d", "2", "--alpha", "0.8", "--beta", "1.6", "--a", "1.0", "--samples", "1000"],
+], ids=["coeff", "constants", "relativistic", "mixed"])
 def test_estimate_records_sampling(tmp_path, args):
     # payload and manifest carry the method, the scrambles and the number of
     # points evaluated, 1000 rounded up to whole scrambles
     assert run_cli(args + ["--seed", "0"], tmp_path) == 0
     payload = _read_result(tmp_path)
-    want = {"method": "rqmc", "scrambles": coeff.SCRAMBLES, "n_samples": 1024}
+    want = {"method": "rqmc", "scrambles": hk.SCRAMBLES, "n_samples": 1024}
     assert {k: payload[k] for k in want} == want
     (d,) = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert json.loads((d / "manifest.json").read_text())["sampling"] == want
+
+
+def test_coeff_zero_potential_records_no_sampling(tmp_path):
+    # the zero potential's exact 0 runs no sampling, and neither the result
+    # nor the manifest may say otherwise
+    assert run_cli(["coeff", "--n-index", "0", "--j", "2", "--alpha", "1.0", "--potential",
+                    "gaussian:c=0,s=1", "--samples", "1000", "--seed", "0"], tmp_path) == 0
+    payload = _read_result(tmp_path)
+    assert payload["value"] == 0.0 and payload["n_samples"] == 0
+    assert "method" not in payload and "scrambles" not in payload
+    (d,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    assert json.loads((d / "manifest.json").read_text())["sampling"] == {"n_samples": 0}
 
 
 def test_constants_analytic_requires_alpha2(tmp_path):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fracheat import heat_kernel as hk
 from fracheat import subordinator as sub
@@ -170,3 +172,61 @@ def test_mixed_kernel_comparability_band():
         ratios.append(est.value / f)
     assert max(ratios) / min(ratios) < 3.0
     assert min(ratios) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# randomized quasi-Monte Carlo at-zero estimates
+
+
+def _radial_at_zero(d, t, phi):
+    # (2 pi)^{-d} w_d int_0^inf r^{d-1} exp(-t phi(r^2)) dr, an independent route
+    val, _ = integrate.quad(lambda r: r ** (d - 1) * math.exp(-t * phi(r * r)),
+                            0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
+    return (2.0 * math.pi) ** (-d) * hk.sphere_surface_area(d) * val
+
+
+# the p_t(0) tasks of the benchmark: (estimator, exact value by radial quadrature)
+AT_ZERO = {
+    "relativistic d=1 alpha=1 m=1 t=0.5": (
+        lambda n, r: hk.relativistic_kernel_at_zero(1, 1.0, 1.0, 0.5, n, r),
+        lambda: _radial_at_zero(1, 0.5, lambda lam: (lam + 1.0) ** 0.5 - 1.0)),
+    "mixed d=2 alpha=0.8 beta=1.6 a=1 t=0.1": (
+        lambda n, r: hk.mixed_kernel_at_zero(2, 0.8, 1.6, 1.0, 0.1, n, r),
+        lambda: _radial_at_zero(2, 0.1, lambda lam: lam**0.4 + lam**0.8)),
+}
+
+
+@pytest.mark.parametrize("name", list(AT_ZERO))
+def test_at_zero_stderr_covers_radial_quadrature(name):
+    # thresholds fixed before the first run: every |z| <= 4 over 20 scramble
+    # seeds, and at most 2 of 20 beyond 3
+    estimate, exact = AT_ZERO[name]
+    want = exact()
+    ests = [estimate(1 << 16, rng(seed)) for seed in range(20)]
+    z = np.array([(e.value - want) / e.stderr for e in ests])
+    assert np.all(np.abs(z) <= 4.0), z
+    assert np.sum(np.abs(z) > 3.0) <= 2, z
+    assert all(e.n_samples == 1 << 16 and e.params["method"] == "rqmc" for e in ests)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", list(AT_ZERO))
+def test_at_zero_memory_is_bounded(name):
+    # one scramble of 2**22 / 32 points at a time, whatever n is
+    estimate, _ = AT_ZERO[name]
+    assert _peak_bytes(lambda: estimate(1 << 22, rng(1))) <= 16 * 2**20
+
+
+def test_relativistic_sample_memory_is_bounded():
+    # proposals come in capped batches: the peak stays near the output itself
+    n = 1 << 22
+    peak = _peak_bytes(lambda: sub.sample_relativistic(1.0, 1.0, 0.5, rng(2), size=n))
+    assert peak <= 1.5 * 8 * n

@@ -103,10 +103,10 @@ def _key(flag: str) -> str:
 ALPHA = Param("--alpha", float, help="stability index alpha")
 D = Param("--d", int, 1, "dimension")
 POTENTIAL = Param("--potential", str, help="gaussian:c=1,s=1[,x0=0.5], ';' between bumps")
+SAMPLES = Param("--samples", int, 10**6, "Monte Carlo samples")
 MC_N = Param("--n", int, 10**6, "Monte Carlo samples")
 #: the randomized quasi-Monte Carlo estimators evaluate whole scrambles
-ROUNDED = f"; rounded up to a multiple of {hk.SCRAMBLES} scrambled Sobol points"
-SAMPLES = Param("--samples", int, 10**6, MC_N.help + ROUNDED)
+ROUNDED = f"; rounded up to a multiple of {coeff.SCRAMBLES} scrambled Sobol points"
 
 #: subcommand -> (help, parameters)
 PARAMS = {
@@ -128,7 +128,7 @@ PARAMS = {
         Param("--analytic", _boolean, False, "closed-form path (alpha = 2 only)"))),
     "coeff": ("Monte Carlo expansion coefficient C_{n,j}(V)", (
         Param("--n-index", int, help="power n of L_j"), Param("--j", int, help="order j"),
-        D, ALPHA, POTENTIAL, SAMPLES)),
+        D, ALPHA, POTENTIAL, SAMPLES._replace(help=SAMPLES.help + ROUNDED))),
     "schedule": ("exponent matrix A_J(alpha), schedule entries, validity", (
         Param("--J", int, 4, "largest order J"), ALPHA,
         Param("--M", int, 2, "Taylor order M"), D)),

@@ -18,13 +18,13 @@ C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N by randomized
 quasi-Monte Carlo (closed Gamma-function forms of K1/K2/K3 at alpha = 2),
 and generates exponent schedules with their validity conditions.
 
-Both estimators run through the package's one randomized quasi-Monte Carlo
-engine, heat_kernel.Estimate.rqmc: the samplers (_sorted_simplex,
-increments_batch, the potential's proposal_sample) draw every uniform from
-a PointStream of scrambled Sobol points in place of a Generator, and the
-stderr is the spread of the scramble means.  That stderr holds also where
-the integrand's fourth moment is infinite (K1 at d = 1), but it needs a
-finite variance (not K2 at d <= 2).
+Both estimators run through one engine, _mc_estimate: the samplers
+(_sorted_simplex, increments_batch, the potential's proposal_sample) draw
+every uniform from a PointStream of scrambled Sobol points in place of a
+Generator, SCRAMBLES independent scrambles of ceil(n / SCRAMBLES) points
+each are averaged, and the stderr is the spread of the scramble means.
+That stderr holds also where the integrand's fourth moment is infinite
+(K1 at d = 1), but it needs a finite variance (not K2 at d <= 2).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heat_kernel import Estimate, kernel_at_zero
+from .sobol import ScrambledSobol
 from .subordinator import _row_blocks, increments_batch
 
 __all__ = [
@@ -54,6 +55,11 @@ __all__ = [
     "phi_exponent",
     "remainder_bound",
 ]
+
+#: Independent scrambles behind every randomized quasi-Monte Carlo estimate.
+SCRAMBLES = 32
+#: Points of one scramble generated and evaluated together, bounding memory.
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,33 @@ def _sorted_simplex(rng, n, j):
     return out
 
 
+def _mc_estimate(sample_fn, dim, n_samples, scale, params, rng) -> Estimate:
+    """scale times the mean of sample_fn over SCRAMBLES scrambled Sobol nets.
+
+    Each scramble of ceil(n_samples / SCRAMBLES) points is generated and
+    evaluated on its own, at most _CHUNK points at a time: sample_fn(points, m)
+    draws every uniform of m rows from the PointStream ``points``, which must
+    serve exactly ``dim`` columns.  The value is the mean of the scramble
+    means and the stderr their standard deviation over sqrt(SCRAMBLES).
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples={n_samples} must be >= 1")
+    m = -(-n_samples // SCRAMBLES)
+    means = np.empty(SCRAMBLES)
+    for r in range(SCRAMBLES):
+        net = ScrambledSobol(dim, m, rng)
+        total = 0.0
+        for start in range(0, m, _CHUNK):
+            count = min(_CHUNK, m - start)
+            points = net.stream(start, count)
+            total += sample_fn(points, count).sum()
+            points.finish()
+        means[r] = total / m
+    return Estimate(float(scale * means.mean()),
+                    float(scale * means.std(ddof=1) / math.sqrt(SCRAMBLES)),
+                    SCRAMBLES * m, dict(params, method="rqmc", scrambles=SCRAMBLES))
+
+
 def _kanter_columns(j, alpha):
     # uniforms increments_batch draws per row: (u, e) for each of j increments
     return 2 * j if alpha < 2.0 else 0
@@ -185,8 +218,8 @@ def mc_constant_K(
         return pair / totals ** (1.0 + d / 2.0)
 
     dim = j + _kanter_columns(j, alpha)
-    return Estimate.rqmc(sample_fn, dim, n_samples, vol,
-                         {"which": which, "d": d, "alpha": alpha}, rng)
+    return _mc_estimate(sample_fn, dim, n_samples, vol,
+                        {"which": which, "d": d, "alpha": alpha}, rng)
 
 
 def deterministic_constant_K(which: str, d: int, alpha: float) -> float:
@@ -316,8 +349,8 @@ def mc_coefficient_Cnj(
     # are several
     theta_columns = (j - 1) * (d + (len(V.c) > 1))
     dim = j + _kanter_columns(j, alpha) + theta_columns
-    return Estimate.rqmc(sample_fn, dim, n_samples, pref,
-                         {"n": n, "j": j, "d": d, "alpha": alpha}, rng)
+    return _mc_estimate(sample_fn, dim, n_samples, pref,
+                        {"n": n, "j": j, "d": d, "alpha": alpha}, rng)
 
 
 # ---------------------------------------------------------------------------

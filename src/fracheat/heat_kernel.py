@@ -1,19 +1,10 @@
 """Transition densities p_t^{(alpha)} of rotationally symmetric stable processes.
 
 Closed form at the origin, adaptive quadrature of the radial Fourier
-inversion integral off the origin, and randomized quasi-Monte Carlo at-zero
-estimates for the relativistic and mixed families via their subordinator
-moment representations.  The Fourier convention is
+inversion integral off the origin, and Monte Carlo at-zero estimates for the
+relativistic and mixed families via their subordinator moment
+representations.  The Fourier convention is
 p_t^{(alpha)}(x) = (2 pi)^{-d} int exp(i<xi,x>) exp(-t |xi|^alpha) dxi.
-
-:meth:`Estimate.rqmc` is the one randomized quasi-Monte Carlo engine of the
-package: the at-zero estimates here and the K and C_{n,j} estimators of
-:mod:`fracheat.coefficients` all run through it.  Their samplers draw every
-uniform from a PointStream of scrambled Sobol points in place of a
-Generator; SCRAMBLES independent scrambles of ceil(n / SCRAMBLES) points
-each are averaged, at most _CHUNK points in memory at once, and the stderr
-is the spread of the scramble means.  That stderr holds also where the
-integrand's fourth moment is infinite, but it needs a finite variance.
 """
 
 from __future__ import annotations
@@ -24,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .sobol import ScrambledSobol
 from .subordinator import density_half, sample_mixed, sample_stable
 
 __all__ = [
@@ -36,11 +26,6 @@ __all__ = [
     "relativistic_kernel_at_zero",
     "mixed_kernel_at_zero",
 ]
-
-#: Independent scrambles behind every randomized quasi-Monte Carlo estimate.
-SCRAMBLES = 32
-#: Points of one scramble generated and evaluated together, bounding memory.
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,38 +39,14 @@ class Estimate:
 
     @classmethod
     def of_samples(cls, w: np.ndarray, scale: float) -> "Estimate":
-        """``scale`` times the mean of the samples ``w``, with its standard error."""
-        return cls(float(scale * w.mean()),
-                   float(scale * w.std(ddof=1) / math.sqrt(w.size)), w.size)
+        """``scale`` times the mean of the samples ``w``, with its standard error.
 
-    @classmethod
-    def rqmc(cls, sample_fn, dim, n_samples, scale, params, rng) -> "Estimate":
-        """``scale`` times the mean of ``sample_fn`` over SCRAMBLES scrambled Sobol nets.
-
-        Each scramble of ceil(n_samples / SCRAMBLES) points is generated and
-        evaluated on its own, at most _CHUNK points at a time:
-        sample_fn(points, rows) draws every uniform of ``rows`` rows from the
-        PointStream ``points``, which must serve exactly ``dim`` columns.  The
-        value is the mean of the scramble means and the stderr their standard
-        deviation over sqrt(SCRAMBLES); ``params`` gain the method and the
-        number of scrambles.
+        The samples are independent draws, so ``params`` record plain Monte
+        Carlo (``method="mc"``).
         """
-        if n_samples < 1:
-            raise ValueError(f"n_samples={n_samples} must be >= 1")
-        m = -(-n_samples // SCRAMBLES)
-        means = np.empty(SCRAMBLES)
-        for r in range(SCRAMBLES):
-            net = ScrambledSobol(dim, m, rng)
-            total = 0.0
-            for start in range(0, m, _CHUNK):
-                count = min(_CHUNK, m - start)
-                points = net.stream(start, count)
-                total += sample_fn(points, count).sum()
-                points.finish()
-            means[r] = total / m
-        return cls(float(scale * means.mean()),
-                   float(scale * means.std(ddof=1) / math.sqrt(SCRAMBLES)),
-                   SCRAMBLES * m, dict(params, method="rqmc", scrambles=SCRAMBLES))
+        return cls(float(scale * w.mean()),
+                   float(scale * w.std(ddof=1) / math.sqrt(w.size)), w.size,
+                   {"method": "mc"})
 
 
 def sphere_surface_area(d: int) -> float:
@@ -198,28 +159,21 @@ def relativistic_kernel_at_zero(
     n_samples: int,
     rng: np.random.Generator,
 ) -> Estimate:
-    """Randomized quasi-Monte Carlo estimate of p_t^{(alpha,m)}(0).
+    """Monte Carlo estimate of p_t^{(alpha,m)}(0).
 
     Uses t^{d/alpha} p_t^{(alpha,m)}(0) = (4 pi)^{-d/2} E[S_{1,tm}^{-d/2}]
     = (4 pi)^{-d/2} e^{mt} E[S_1^{-d/2} exp(-(tm)^{2/alpha} S_1)] over plain
     stable samples; the tilt only improves integrability, so the estimate is
-    finite for all m, t > 0.  Each S_1 is Kanter's transform of two
-    scrambled Sobol coordinates, through :meth:`Estimate.rqmc`; n_samples is
-    rounded up to whole scrambles.
+    finite for all m, t > 0.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     if d < 1 or not (0.0 < alpha < 2.0) or m <= 0 or t <= 0:
         raise ValueError("invalid parameters")
-    tilt = (t * m) ** (2.0 / alpha)
-
-    def sample_fn(points, rows):
-        s = sample_stable(alpha, 1.0, points, size=rows)
-        return s ** (-d / 2.0) * np.exp(-tilt * s)
-
+    s = sample_stable(alpha, 1.0, rng, size=n_samples)
+    w = s ** (-d / 2.0) * np.exp(-((t * m) ** (2.0 / alpha)) * s)
     scale = (4.0 * math.pi) ** (-d / 2.0) * t ** (-d / alpha) * math.exp(m * t)
-    return Estimate.rqmc(sample_fn, 2, n_samples, scale,
-                         {"d": d, "alpha": alpha, "m": m, "t": t}, rng)
+    return Estimate.of_samples(w, scale)
 
 
 def mixed_kernel_at_zero(
@@ -231,19 +185,12 @@ def mixed_kernel_at_zero(
     n_samples: int,
     rng: np.random.Generator,
 ) -> Estimate:
-    """Randomized quasi-Monte Carlo estimate of p_t^{(a)}(0) = (4 pi)^{-d/2} E[S_{t,a}^{-d/2}].
-
-    Each S_{t,a} is the sum of two independent Kanter draws, four scrambled
-    Sobol coordinates, through :meth:`Estimate.rqmc`; n_samples is rounded
-    up to whole scrambles.
-    """
+    """Monte Carlo estimate of p_t^{(a)}(0) = (4 pi)^{-d/2} E[S_{t,a}^{-d/2}]."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     if d < 1:
         raise ValueError("d must be >= 1")
-
-    def sample_fn(points, rows):
-        return sample_mixed(alpha, beta, a, t, points, size=rows) ** (-d / 2.0)
-
-    return Estimate.rqmc(sample_fn, 4, n_samples, (4.0 * math.pi) ** (-d / 2.0),
-                         {"d": d, "alpha": alpha, "beta": beta, "a": a, "t": t}, rng)
+    s = sample_mixed(alpha, beta, a, t, rng, size=n_samples)
+    w = s ** (-d / 2.0)
+    scale = (4.0 * math.pi) ** (-d / 2.0)
+    return Estimate.of_samples(w, scale)

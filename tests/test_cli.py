@@ -5,7 +5,6 @@ import pytest
 
 from fracheat import cli
 from fracheat import coefficients as coeff
-from fracheat import heat_kernel as hk
 from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
 
@@ -154,19 +153,25 @@ def test_constants_analytic_path(tmp_path):
     assert payload["path"] == "closed_form"
 
 
-@pytest.mark.parametrize("args", [
-    ["coeff", "--n-index", "1", "--j", "2", "--alpha", "1.8", "--potential",
-     "gaussian:c=1,s=1", "--samples", "1000"],
-    ["constants", "--which", "L", "--alpha", "1.8", "--n", "1000"],
-    ["relativistic", "--alpha", "1.0", "--m", "1.0", "--samples", "1000"],
-    ["mixed", "--d", "2", "--alpha", "0.8", "--beta", "1.6", "--a", "1.0", "--samples", "1000"],
+#: the RQMC estimators evaluate 1000 points rounded up to whole scrambles;
+#: the plain Monte Carlo p_t(0) estimators evaluate exactly 1000 samples
+RQMC_1000 = {"method": "rqmc", "scrambles": coeff.SCRAMBLES, "n_samples": 1024}
+MC_1000 = {"method": "mc", "n_samples": 1000}
+
+
+@pytest.mark.parametrize("args, want", [
+    (["coeff", "--n-index", "1", "--j", "2", "--alpha", "1.8", "--potential",
+      "gaussian:c=1,s=1", "--samples", "1000"], RQMC_1000),
+    (["constants", "--which", "L", "--alpha", "1.8", "--n", "1000"], RQMC_1000),
+    (["relativistic", "--alpha", "1.0", "--m", "1.0", "--samples", "1000"], MC_1000),
+    (["mixed", "--d", "2", "--alpha", "0.8", "--beta", "1.6", "--a", "1.0",
+      "--samples", "1000"], MC_1000),
 ], ids=["coeff", "constants", "relativistic", "mixed"])
-def test_estimate_records_sampling(tmp_path, args):
-    # payload and manifest carry the method, the scrambles and the number of
-    # points evaluated, 1000 rounded up to whole scrambles
+def test_estimate_records_sampling(tmp_path, args, want):
+    # payload and manifest carry the method, the scrambles of an RQMC
+    # estimate and the number of points evaluated
     assert run_cli(args + ["--seed", "0"], tmp_path) == 0
     payload = _read_result(tmp_path)
-    want = {"method": "rqmc", "scrambles": hk.SCRAMBLES, "n_samples": 1024}
     assert {k: payload[k] for k in want} == want
     (d,) = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert json.loads((d / "manifest.json").read_text())["sampling"] == want

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fracheat import coefficients as coeff
-from fracheat import heat_kernel as hk
 from fracheat import subordinator as sub
 from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
@@ -178,19 +177,19 @@ def test_same_seed_same_estimates():
     c12 = coeff.mc_coefficient_Cnj(mix, 1, 2, 1, 1.8, PINNED_N, rng(27182))
     assert (k3.value, k3.stderr) == pytest.approx(PINNED_K3, rel=1e-12, abs=0.0)
     assert (c12.value, c12.stderr) == pytest.approx(PINNED_C12, rel=1e-12, abs=0.0)
-    rounded = hk.SCRAMBLES * -(-PINNED_N // hk.SCRAMBLES)
+    rounded = coeff.SCRAMBLES * -(-PINNED_N // coeff.SCRAMBLES)
     assert k3.n_samples == c12.n_samples == rounded
     for est in (k3, c12):
-        assert est.params["method"] == "rqmc" and est.params["scrambles"] == hk.SCRAMBLES
+        assert est.params["method"] == "rqmc" and est.params["scrambles"] == coeff.SCRAMBLES
 
 
 def test_scramble_blocks_match_whole_scrambles(monkeypatch):
     # a scramble generated and evaluated in blocks of points gives the
     # estimate of the whole scramble at once, up to summation order
     v = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
-    n = hk.SCRAMBLES * 5000
+    n = coeff.SCRAMBLES * 5000
     whole = coeff.mc_coefficient_Cnj(v, 1, 3, 1, 1.8, n, rng(3))
-    monkeypatch.setattr(hk, "_CHUNK", 1 << 10)
+    monkeypatch.setattr(coeff, "_CHUNK", 1 << 10)
     blocked = coeff.mc_coefficient_Cnj(v, 1, 3, 1, 1.8, n, rng(3))
     assert blocked.value == pytest.approx(whole.value, rel=1e-12)
     assert blocked.stderr == pytest.approx(whole.stderr, rel=1e-9)
@@ -206,11 +205,9 @@ def test_point_dimension_limit_named():
 def test_estimators_do_not_import_scipy_stats():
     # scipy.stats costs about 0.3 s to import; the estimators must not need it
     code = ("import sys, numpy as np, fracheat\n"
-            "from fracheat import coefficients as c, heat_kernel as h, potential as p\n"
-            "r = np.random.default_rng(0)\n"
-            "c.mc_coefficient_Cnj(p.GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, 4096, r)\n"
-            "h.relativistic_kernel_at_zero(1, 1.0, 1.0, 0.5, 4096, r)\n"
-            "h.mixed_kernel_at_zero(2, 0.8, 1.6, 1.0, 0.1, 4096, r)\n"
+            "from fracheat import coefficients as c, potential as p\n"
+            "c.mc_coefficient_Cnj(p.GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, 4096,"
+            " np.random.default_rng(0))\n"
             "print('scipy.stats' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -205,9 +205,11 @@ def test_point_dimension_limit_named():
 def test_estimators_do_not_import_scipy_stats():
     # scipy.stats costs about 0.3 s to import; the estimators must not need it
     code = ("import sys, numpy as np, fracheat\n"
-            "from fracheat import coefficients as c, potential as p\n"
-            "c.mc_coefficient_Cnj(p.GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, 4096,"
-            " np.random.default_rng(0))\n"
+            "from fracheat import coefficients as c, heat_kernel as h, potential as p\n"
+            "r = np.random.default_rng(0)\n"
+            "c.mc_coefficient_Cnj(p.GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, 4096, r)\n"
+            "h.relativistic_kernel_at_zero(1, 1.0, 1.0, 0.5, 4096, r)\n"
+            "h.mixed_kernel_at_zero(2, 0.8, 1.6, 1.0, 0.1, 4096, r)\n"
             "print('scipy.stats' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -9,8 +9,9 @@ closed under k -> -k, and the couplings are gathered from one table of Vhat
 over the (2N-3)^d lattice differences.  One eigendecomposition serves every
 time t.  When V is centred (even in every coordinate), H commutes with each
 axis reflection and is solved as its 2^d even/odd sectors, each a real
-symmetric block about 2^{-d} the size of H; any other V is one dense
-Hermitian solve.  Then
+symmetric block about 2^{-d} the size of H, assembled one at a time from
+the table; H is formed, and solved as one dense Hermitian matrix, only for
+an off-centre V.  Then
 
     curve(t) = Tr(exp(-t H_V)) - Tr(exp(-t H_alpha))
 
@@ -28,6 +29,7 @@ combine the linear-model error with refit drift over halves of the t range.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -105,17 +107,30 @@ def free_multipliers(grid: SpectralGrid, alpha: float) -> np.ndarray:
 
 def _periodization_check(V, grid: SpectralGrid) -> None:
     # erfc bound on each component's mass outside the box, per axis
-    outside = 0.0
+    outside = integral = 0.0
     for c, s, x0 in zip(V.c, V.s, V.x0):
-        amp = abs(c) * (s * math.sqrt(math.pi)) ** grid.d
+        mass = c * (s * math.sqrt(math.pi)) ** grid.d
+        integral += mass
         worst = max(special.erfc((grid.L - abs(x)) / s) for x in x0)
-        outside += amp * min(1.0, grid.d * worst)
-    if outside > 1e-10 * V.l1_norm:
+        outside += abs(mass) * min(1.0, grid.d * worst)
+    # |int V| <= ||V||_1 decides most calls without the quadrature that a
+    # signed mixture's l1_norm costs
+    if outside > 1e-10 * abs(integral) and outside > 1e-10 * V.l1_norm:
         warnings.warn(
             f"potential mass outside the box ~{outside:.2e} exceeds 1e-10 * ||V||_1; "
             "periodization error may be visible",
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _check_inputs(grid: SpectralGrid, alpha: float, V) -> None:
+    """The size cap, the alpha range and the periodization check of every solve."""
+    if grid.size > _MAX_DENSE:
+        raise ValueError(f"(N-1)^d = {grid.size} exceeds the dense-solve cap {_MAX_DENSE}")
+    if not (0.0 < alpha <= 2.0):
+        raise ValueError(f"alpha={alpha} outside (0, 2]")
+    if V is not None:
+        _periodization_check(V, grid)
 
 
 def _fourier_table(grid: SpectralGrid, V) -> np.ndarray:
@@ -139,14 +154,10 @@ def build_hamiltonian(grid: SpectralGrid, alpha: float, V=None) -> np.ndarray:
     lattice differences.  Real symmetric for even real V, Hermitian
     otherwise (Vhat(-xi) = conj Vhat(xi) for real V).
     """
-    if grid.size > _MAX_DENSE:
-        raise ValueError(f"(N-1)^d = {grid.size} exceeds the dense-solve cap {_MAX_DENSE}")
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha={alpha} outside (0, 2]")
+    _check_inputs(grid, alpha, V)
     mult = free_multipliers(grid, alpha)
     if V is None:
         return np.diag(mult)
-    _periodization_check(V, grid)
     table = _fourier_table(grid, V)
     idx = np.arange(grid.N - 1)
     diff = idx[:, None] - idx[None, :] + (grid.N - 2)
@@ -159,37 +170,49 @@ def build_hamiltonian(grid: SpectralGrid, alpha: float, V=None) -> np.ndarray:
     return H
 
 
-def _parity_blocks(H: np.ndarray, grid: SpectralGrid) -> list:
-    """Fold H of a V even in every coordinate into its 2^d reflection sectors.
+def _sectors(grid: SpectralGrid, alpha: float, V):
+    """Yield the 2^d reflection sectors of H_V for a V even in every coordinate.
 
-    Per axis, with the modes k >= 0 first, G = H[k, l] and F = H[k, -l]
-    (k, l >= 0); the even block is D (G + F) D with D = diag(1/sqrt 2, 1,
-    ...) and the odd block is (G - F) restricted to k, l >= 1.  Both are
-    orthogonal restrictions of H, so their spectra together are H's.
+    Per axis, over the modes k, l >= 0, the even sector is D (T[k-l] + T[k+l]) D
+    with D = diag(1/sqrt 2, 1, ...) and the odd sector is T[k-l] - T[k+l] on
+    k, l >= 1, where T is the table of Vhat: a Toeplitz part plus or minus a
+    Hankel part, both views of the table's sliding windows.  |xi_k|^alpha is
+    added to the diagonal after the scaling.  Each sector is H restricted to
+    an orthonormal basis of one reflection parity, so their spectra together
+    are H's; H itself is never formed.
     """
-    n, d = grid.N - 1, grid.d
-    m = n // 2  # position of k = 0
-    blocks = [H.reshape((n,) * (2 * d))]
-    for ax in range(d):
-        folded = []
-        for B in blocks:
-            B = np.moveaxis(B, (ax, d + ax), (0, 1))
-            G, F = B[m:, m:], B[m:, m::-1]
-            even = G + F
-            even[0] *= math.sqrt(0.5)
-            even[:, 0] *= math.sqrt(0.5)
-            odd = (G - F)[1:, 1:]
-            folded += [np.moveaxis(X, (0, 1), (ax, d + ax)) for X in (even, odd)]
-        blocks = folded
-    return [B.reshape(math.prod(B.shape[:d]), -1) for B in blocks]
+    d, m = grid.d, grid.N // 2 - 1  # k = 0 .. m per axis
+    # win[i, j] = T[i + j] per axis: T[k - l] = win[m + k, m - l], T[k + l] = win[2m + k, l]
+    win = np.lib.stride_tricks.sliding_window_view(_fourier_table(grid, V), (m + 1,) * d)
+    mult = free_multipliers(grid, alpha).reshape((2 * m + 1,) * d)
+    for odd in itertools.product((0, 1), repeat=d):
+        S = np.zeros(tuple(m + 1 - o for o in odd) * 2)
+        for hankel in itertools.product((0, 1), repeat=d):
+            rows = tuple(slice((1 + h) * m + o, (2 + h) * m + 1) for h, o in zip(hankel, odd))
+            cols = tuple(slice(o, m + 1) if h else slice(m - o, None, -1)
+                         for h, o in zip(hankel, odd))
+            sign = sum(h * o for h, o in zip(hankel, odd)) % 2
+            (np.subtract if sign else np.add)(S, win[rows + cols], out=S)
+        for ax in (ax for ax, o in enumerate(odd) if not o):
+            S[(slice(None),) * ax + (0,)] *= math.sqrt(0.5)
+            S[(slice(None),) * (d + ax) + (0,)] *= math.sqrt(0.5)
+        n = math.prod(S.shape[:d])
+        S = S.reshape(n, n)
+        S.ravel()[:: n + 1] += mult[tuple(slice(m + o, None) for o in odd)].ravel()
+        yield S
+
+
+def _block_spectra(grid: SpectralGrid, alpha: float, V) -> list:
+    """Ascending eigenvalues of each block solved: a centred V's sectors, else H."""
+    if V is None or np.any(V.x0):
+        return [np.linalg.eigvalsh(build_hamiltonian(grid, alpha, V))]
+    _check_inputs(grid, alpha, V)
+    return [np.linalg.eigvalsh(S) for S in _sectors(grid, alpha, V)]
 
 
 def _spectrum(grid: SpectralGrid, alpha: float, V) -> np.ndarray:
-    """Ascending eigenvalues of H_V; per reflection sector when V is centred."""
-    H = build_hamiltonian(grid, alpha, V)
-    if V is not None and np.any(V.x0):
-        return np.linalg.eigvalsh(H)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in _parity_blocks(H, grid)]))
+    """Ascending eigenvalues of H_V: over the sectors of a centred V, else of dense H."""
+    return np.sort(np.concatenate(_block_spectra(grid, alpha, V)))
 
 
 @dataclass(frozen=True)
@@ -208,13 +231,15 @@ def trace_difference_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Trace
 
     The discrete free trace's mismatch with (2L)^d p_t(0) at the largest t
     is reported in ``meta['free_match_rel']``; the free normalization does
-    not rely on it.
+    not rely on it.  ``meta['solve']`` reads "sectors" or "dense", and
+    ``meta['block_sizes']`` holds the size of each eigensolve.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
         raise ValueError("t values must lie in (0, 1)")
     free = free_multipliers(grid, alpha)
-    mu = _spectrum(grid, alpha, V)
+    blocks = _block_spectra(grid, alpha, V)
+    mu = np.sort(np.concatenate(blocks))
     trace_pert = np.exp(-np.outer(t_grid, mu)).sum(axis=1)
     trace_free = np.exp(-np.outer(t_grid, free)).sum(axis=1)
     values = trace_pert - trace_free
@@ -229,6 +254,8 @@ def trace_difference_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Trace
         meta={
             "d": grid.d, "L": grid.L, "N": grid.N, "alpha": alpha,
             "free_match_rel": free_match, "refined": False,
+            "solve": "sectors" if len(blocks) > 1 else "dense",
+            "block_sizes": [b.size for b in blocks],
         },
     )
 
@@ -244,6 +271,7 @@ def extrapolated_trace_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Tra
     fine = trace_difference_curve(V, alpha, grid.doubled_modes(), t_grid)
     meta = dict(base.meta)
     meta["refined"] = True
+    meta["fine_block_sizes"] = fine.meta["block_sizes"]
     meta["grid_doubling_max_rel_change"] = float(
         np.max(np.abs(fine.normalized / base.normalized - 1.0))
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,18 +59,83 @@ def test_hamiltonian_matches_pointwise_fourier(d, center):
     assert np.allclose(h, want, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("d,N,L", [(1, 128, 20.0), (2, 20, 10.0)])
+@pytest.mark.parametrize(
+    "d,N,L", [(1, 128, 20.0), (1, 1024, 40.0), (2, 20, 10.0), (2, 32, 10.0)]
+)
 def test_folded_spectrum_matches_dense(d, N, L):
+    # the sectors come from the Fourier table; the reference is the dense H
     grid = oracle.SpectralGrid(d, L, N)
     v = _mixture(d, 0.0)
-    h = oracle.build_hamiltonian(grid, 1.3, v)
-    blocks = oracle._parity_blocks(h, grid)
+    blocks = list(oracle._sectors(grid, 1.3, v))
     assert len(blocks) == 2**d
     assert sum(b.shape[0] for b in blocks) == grid.size
     assert all(b.shape[0] == b.shape[1] for b in blocks)
-    dense = np.linalg.eigvalsh(h)
+    dense = np.linalg.eigvalsh(oracle.build_hamiltonian(grid, 1.3, v))
     folded = oracle._spectrum(grid, 1.3, v)
     assert np.max(np.abs(folded - dense)) < 1e-10
+
+
+@pytest.mark.parametrize("d,N,L,limit_mb", [(1, 2048, 40.0, 32), (2, 48, 15.0, 16)])
+def test_centred_spectrum_memory_is_bounded(d, N, L, limit_mb):
+    # one sector at a time from the table: no dense H, no gather index
+    grid = oracle.SpectralGrid(d, L, N)
+    v = _mixture(d, 0.0)
+    tracemalloc.start()
+    try:
+        oracle._spectrum(grid, 1.3, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2**20
+
+
+@pytest.mark.parametrize("d,center,solve,sizes", [
+    (1, 0.0, "sectors", [32, 31]), (1, 0.4, "dense", [63]),
+    (2, 0.0, "sectors", [64, 56, 56, 49]), (2, 0.4, "dense", [225]),
+])
+def test_curve_records_how_the_spectrum_was_solved(d, center, solve, sizes):
+    grid = oracle.SpectralGrid(d, 10.0, 64 if d == 1 else 16)
+    curve = oracle.trace_difference_curve(_mixture(d, center), 1.3, grid, [0.01, 0.1])
+    assert curve.meta["solve"] == solve
+    assert curve.meta["block_sizes"] == sizes
+
+
+def test_sector_path_makes_the_dense_checks():
+    with pytest.raises(ValueError, match="cap"):
+        oracle._spectrum(oracle.SpectralGrid(2, 10.0, 128), 1.0, _mixture(2, 0.0))
+    with pytest.raises(ValueError, match="alpha"):
+        oracle._spectrum(oracle.SpectralGrid(1, 10.0, 32), 2.5, _mixture(1, 0.0))
+    wide = GaussianPotential(1.0, 5.0)
+    grid = oracle.SpectralGrid(1, 10.0, 32)
+    for solve in (oracle.build_hamiltonian, oracle._spectrum):
+        with pytest.warns(UserWarning, match="outside the box"):
+            solve(grid, 1.0, wide)
+
+
+def test_periodization_check_needs_no_quadrature(monkeypatch):
+    # |int V| <= ||V||_1 decides for a signed d=2 mixture well inside the box
+    def refuse(self, f):
+        raise AssertionError("l1_norm quadrature ran")
+
+    monkeypatch.setattr(GaussianMixturePotential, "_quad_over_space", refuse)
+    grid = oracle.SpectralGrid(2, 10.0, 16)
+    for center in (0.0, 0.4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle.trace_difference_curve(_mixture(2, center), 1.3, grid, [0.01, 0.1])
+
+
+def test_periodization_warning_falls_back_to_l1_norm(monkeypatch):
+    # int V = 0 decides nothing, so ||V||_1 comes from quadrature; the box is too small
+    quad = GaussianMixturePotential._quad_over_space
+    calls = []
+    monkeypatch.setattr(GaussianMixturePotential, "_quad_over_space",
+                        lambda self, f: calls.append(1) or quad(self, f))
+    v = GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [[0.0], [0.0]], d=1)
+    assert abs(v.integral_power(1)) < 1e-15
+    with pytest.warns(UserWarning, match="outside the box"):
+        oracle._spectrum(oracle.SpectralGrid(1, 4.0, 32), 1.0, v)
+    assert calls
 
 
 @pytest.mark.parametrize("d,N,L", [(1, 64, 20.0), (2, 16, 10.0)])

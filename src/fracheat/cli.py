@@ -105,6 +105,9 @@ D = Param("--d", int, 1, "dimension")
 POTENTIAL = Param("--potential", str, help="gaussian:c=1,s=1[,x0=0.5], ';' between bumps")
 SAMPLES = Param("--samples", int, 10**6, "Monte Carlo samples")
 MC_N = Param("--n", int, 10**6, "Monte Carlo samples")
+MASS = Param("--m", float, help="mass (relativistic)")
+BETA = Param("--beta", float, help="second index (mixed)")
+WEIGHT = Param("--a", float, help="weight of the second index (mixed)")
 #: the randomized quasi-Monte Carlo estimators evaluate whole scrambles
 ROUNDED = f"; rounded up to a multiple of {coeff.SCRAMBLES} scrambled Sobol points"
 
@@ -112,9 +115,7 @@ ROUNDED = f"; rounded up to a multiple of {coeff.SCRAMBLES} scrambled Sobol poin
 PARAMS = {
     "sample": ("draw subordinator samples; csv output is one sample per line", (
         Param("--family", str, "stable", "stable, relativistic or mixed"), ALPHA,
-        Param("--m", float, None, "mass (relativistic)"),
-        Param("--beta", float, None, "second index (mixed)"),
-        Param("--a", float, None, "weight of the second index (mixed)"),
+        *(p._replace(default=None) for p in (MASS, BETA, WEIGHT)),
         Param("--t", float, 1.0, "time"), Param("--n", int, 1000, "number of samples"))),
     "moments": ("empirical vs exact moments of S_1; csv columns: "
                 "alpha, eta, empirical, stderr, exact, z", (
@@ -141,12 +142,9 @@ PARAMS = {
         Param("--exponents", _floats, "1 2 3 4", "exponents of the fit"),
         Param("--refine", _boolean, True, "Richardson pair over mode doubling"))),
     "relativistic": ("relativistic kernel at zero by Monte Carlo", (
-        D, ALPHA, Param("--m", float, help="mass"), Param("--t", float, 0.5, "time"),
-        SAMPLES)),
+        D, ALPHA, MASS, Param("--t", float, 0.5, "time"), SAMPLES)),
     "mixed": ("mixed-stable kernel at zero by Monte Carlo", (
-        D, ALPHA, Param("--beta", float, help="second index"),
-        Param("--a", float, help="weight of the second index"),
-        Param("--t", float, 0.5, "time"), SAMPLES)),
+        D, ALPHA, BETA, WEIGHT, Param("--t", float, 0.5, "time"), SAMPLES)),
     "acceptance": ("run the acceptance criteria (nonzero exit on failure)", (
         Param("--only", str, None, "criteria to run, e.g. '02 12'"),)),
 }
@@ -233,16 +231,25 @@ def load_config(path: str) -> RunConfig:
 def parse_potential(spec: str, d: int = 1):
     """gaussian:c=1,s=1[,x0=0.5]; components separated by ';'.
 
-    Vector centers for d=2 use '|' between coordinates, e.g. x0=0.5|1.
+    Vector centers for d=2 use '|' between coordinates, e.g. x0=0.5|1.  A
+    prefix other than gaussian or gaussians, a key other than c, s and x0,
+    and a center with more than d coordinates are refused.
     """
-    body = spec.split(":", 1)[1] if ":" in spec else spec
+    prefix, body = spec.split(":", 1) if ":" in spec else ("gaussian", spec)
+    if prefix not in ("gaussian", "gaussians"):
+        raise ValueError(f"unknown potential {prefix!r} in {spec!r}: use gaussian or gaussians")
     amps, widths, centers = [], [], []
     for part in body.split(";"):
         kv = dict(item.split("=", 1) for item in part.split(",") if item)
+        unknown = sorted(kv.keys() - {"c", "s", "x0"})
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(unknown)} in potential {part!r}")
         amps.append(float(kv.get("c", 1.0)))
         widths.append(float(kv.get("s", 1.0)))
         x0 = kv.get("x0", "0")
         vec = [float(u) for u in x0.split("|")]
+        if len(vec) > d:
+            raise ValueError(f"center x0={x0} has more than d={d} coordinates")
         centers.append(vec + [0.0] * (d - len(vec)))
     if len(amps) == 1:
         return pot.GaussianPotential(amps[0], widths[0], center=centers[0])
@@ -256,15 +263,13 @@ def parse_potential(spec: str, d: int = 1):
 def _exp_sample(cfg, rng):
     p = cfg.params
     family = p["family"]
-    # the parameters each family takes besides alpha
-    uses = {"stable": (), "relativistic": ("m",), "mixed": ("beta", "a")}.get(family)
-    if uses is None:
-        raise ValueError(f"unknown family {family!r}")
+    uses = sub.SubordinatorSpec.PARAMETERS.get(family, ())
     for key in ("m", "beta", "a"):
         if (key in p) != (key in uses):
             verb = "does not use" if key in p else "needs"
             raise ValueError(f"family {family} {verb} --{key}")
-    spec = getattr(sub.SubordinatorSpec, family)(p["alpha"], *(p[k] for k in uses))
+    # the spec refuses an unknown family and out-of-range values
+    spec = sub.SubordinatorSpec(family, p["alpha"], **{k: p[k] for k in uses})
     s = spec.sample(p["t"], rng, size=p["n"])
     rows = [(float(x),) for x in s]
     payload = {"family": family, "alpha": p["alpha"], "t": p["t"], "n": p["n"],

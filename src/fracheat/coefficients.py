@@ -36,7 +36,7 @@ import numpy as np
 
 from .heat_kernel import Estimate, kernel_at_zero
 from .sobol import ScrambledSobol
-from .subordinator import _row_blocks, increments_batch
+from .subordinator import _row_blocks, _validate_alpha, increments_batch
 
 __all__ = [
     "ScheduleEntry",
@@ -124,18 +124,10 @@ def _lj_batch(heads, incs, totals, thetas):
 
 
 def _k_validity(which: str, d: int, alpha: float) -> None:
+    # K2 carries L_2^2 and K1, K3 carry L_j once: Taylor orders 2 and 1
     if which not in ("K1", "K2", "K3"):
         raise ValueError(f"unknown constant {which!r}")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha={alpha} outside (0, 2]")
-    if alpha == 2.0:
-        return
-    if which == "K2":
-        ok = alpha > {1: 1.5, 2: 1.0, 3: 0.5}.get(d, 0.0)
-    else:
-        ok = (d >= 2) or (alpha > 0.5)
-    if not ok:
-        raise ValueError(f"{which} is outside its validity range at d={d}, alpha={alpha}")
+    _require_order(2 if which == "K2" else 1, d, alpha, which)
 
 
 def _sorted_simplex(rng, n, j):
@@ -310,14 +302,7 @@ def mc_coefficient_Cnj(
         raise ValueError("n must be >= 0")
     if V.d != d:
         raise ValueError(f"potential dimension {V.d} != d={d}")
-    if n > 0 and alpha < 2.0:
-        max_m = validate_params(d, alpha, max(n, 1)).max_M
-        if n > max_m:
-            raise ValueError(
-                f"validity violated for n={n} at d={d}, alpha={alpha}: "
-                f"M < (d+alpha)/2 violated and (d<=3, M<=2) M/2 - d/4 < alpha/2 "
-                f"violated for every M >= {n} (max admissible M = {max_m})"
-            )
+    _require_order(n, d, alpha, f"C_{{{n},{j}}}")
     if V.proposal_mass == 0.0:
         # nothing to sample: every C_{n,j} of the zero potential is exactly 0
         return Estimate(0.0, 0.0, 0, params={"n": n, "j": j, "d": d, "alpha": alpha,
@@ -403,8 +388,9 @@ def validate_params(d: int, alpha: float, M: int) -> ValidityReport:
     d <= 3, M <= 2 refinement M/2 - d/4 < alpha/2 (equivalently
     M < alpha + d/2).  max_M is the largest M admissible under either.
     """
-    if d < 1 or M < 1 or not (0.0 < alpha < 2.0):
-        raise ValueError("need d >= 1, M >= 1, 0 < alpha < 2")
+    _validate_alpha(alpha, allow_two=False)
+    if d < 1 or M < 1:
+        raise ValueError(f"need d >= 1 and M >= 1, got d={d}, M={M}")
 
     def basic(m):
         return m < (d + alpha) / 2.0
@@ -420,6 +406,18 @@ def validate_params(d: int, alpha: float, M: int) -> ValidityReport:
     return ValidityReport(
         d=d, alpha=alpha, M=M, basic_ok=basic(M), improved_ok=improved(M), max_M=max_m
     )
+
+
+def _require_order(n: int, d: int, alpha: float, what: str) -> None:
+    """Refuse ``what``, which carries L_j^n, beyond validate_params' max_M (any n at alpha 2)."""
+    _validate_alpha(alpha)
+    max_m = validate_params(d, alpha, max(n, 1)).max_M if alpha < 2.0 else n
+    if n > max_m:
+        raise ValueError(
+            f"{what}: validity violated for n={n} at d={d}, alpha={alpha}: "
+            f"M < (d+alpha)/2 violated and (d<=3, M<=2) M/2 - d/4 < alpha/2 "
+            f"violated for every M >= {n} (max admissible M = {max_m})"
+        )
 
 
 def remainder_bound(V, J: int, d: int, t: float) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .subordinator import density_half, sample_mixed, sample_stable
+from .subordinator import (SubordinatorSpec, _validate_alpha, density_half, sample_mixed,
+                           sample_stable)
 
 __all__ = [
     "Estimate",
@@ -60,8 +61,7 @@ def kernel_at_zero(d: int, alpha: float) -> float:
     """p_1^{(alpha)}(0) = w_d Gamma(d/alpha) / ((2 pi)^d alpha), closed form."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha={alpha} outside (0, 2]")
+    _validate_alpha(alpha)
     return float(
         sphere_surface_area(d) * special.gamma(d / alpha) / ((2.0 * math.pi) ** d * alpha)
     )
@@ -89,8 +89,7 @@ def kernel_value(d: int, alpha: float, t: float, x) -> float:
     """
     if t <= 0.0:
         raise ValueError("t must be > 0")
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha={alpha} outside (0, 2]")
+    _validate_alpha(alpha)
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     if r == 0.0:
         return kernel_at_zero(d, alpha) * t ** (-d / alpha)
@@ -168,8 +167,9 @@ def relativistic_kernel_at_zero(
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    if d < 1 or not (0.0 < alpha < 2.0) or m <= 0 or t <= 0:
-        raise ValueError("invalid parameters")
+    if d < 1 or t <= 0:
+        raise ValueError(f"need d >= 1 and t > 0, got d={d}, t={t}")
+    SubordinatorSpec("relativistic", alpha, m=m)  # checks alpha and m
     s = sample_stable(alpha, 1.0, rng, size=n_samples)
     w = s ** (-d / 2.0) * np.exp(-((t * m) ** (2.0 / alpha)) * s)
     scale = (4.0 * math.pi) ** (-d / 2.0) * t ** (-d / alpha) * math.exp(m * t)

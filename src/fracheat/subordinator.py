@@ -63,6 +63,7 @@ class SubordinatorSpec:
     """A subordinator family together with its Laplace exponent phi.
 
     ``phi(0) = 0`` and phi is nondecreasing on (0, inf) for every family.
+    Construction is the one check of each family's parameters.
     """
 
     family: str
@@ -71,24 +72,32 @@ class SubordinatorSpec:
     beta: float = 0.0
     a: float = 0.0
 
+    #: family -> the parameters it takes besides alpha
+    PARAMETERS = {"stable": (), "relativistic": ("m",), "mixed": ("beta", "a")}
+
+    def __post_init__(self):
+        if self.family not in self.PARAMETERS:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "mixed":
+            if not (0.0 < self.alpha < self.beta < 2.0):
+                raise ValueError("mixed family needs 0 < alpha < beta < 2")
+            if self.a <= 0:
+                raise ValueError("mixed weight a must be > 0")
+            return
+        _validate_alpha(self.alpha, allow_two=self.family == "stable")
+        if self.family == "relativistic" and self.m <= 0:
+            raise ValueError("relativistic mass m must be > 0")
+
     @staticmethod
     def stable(alpha: float) -> "SubordinatorSpec":
-        _validate_alpha(alpha)
         return SubordinatorSpec("stable", alpha)
 
     @staticmethod
     def relativistic(alpha: float, m: float) -> "SubordinatorSpec":
-        _validate_alpha(alpha, allow_two=False)
-        if m <= 0:
-            raise ValueError("relativistic mass m must be > 0")
         return SubordinatorSpec("relativistic", alpha, m=m)
 
     @staticmethod
     def mixed(alpha: float, beta: float, a: float) -> "SubordinatorSpec":
-        if not (0.0 < alpha < beta < 2.0):
-            raise ValueError("mixed family needs 0 < alpha < beta < 2")
-        if a <= 0:
-            raise ValueError("mixed weight a must be > 0")
         return SubordinatorSpec("mixed", alpha, beta=beta, a=a)
 
     def laplace_exponent(self, lam):
@@ -97,18 +106,14 @@ class SubordinatorSpec:
             return lam ** (self.alpha / 2.0)
         if self.family == "relativistic":
             return (lam + self.m ** (2.0 / self.alpha)) ** (self.alpha / 2.0) - self.m
-        if self.family == "mixed":
-            return lam ** (self.alpha / 2.0) + self.a * lam ** (self.beta / 2.0)
-        raise ValueError(f"unknown family {self.family!r}")
+        return lam ** (self.alpha / 2.0) + self.a * lam ** (self.beta / 2.0)
 
     def sample(self, t: float, rng: np.random.Generator, size=None):
         if self.family == "stable":
             return sample_stable(self.alpha, t, rng, size=size)
         if self.family == "relativistic":
             return sample_relativistic(self.alpha, self.m, t, rng, size=size)
-        if self.family == "mixed":
-            return sample_mixed(self.alpha, self.beta, self.a, t, rng, size=size)
-        raise ValueError(f"unknown family {self.family!r}")
+        return sample_mixed(self.alpha, self.beta, self.a, t, rng, size=size)
 
 
 #: Draws per block of the Kanter transform and rows per block of the
@@ -303,9 +308,9 @@ def sample_relativistic(
     and of accepted proposals (the retained samples are the first ``size``
     accepted ones, so accepted/proposals is the empirical acceptance rate).
     """
-    _validate_alpha(alpha, allow_two=False)
-    if m <= 0 or t <= 0:
-        raise ValueError("need m > 0 and t > 0")
+    SubordinatorSpec("relativistic", alpha, m=m)  # checks alpha and m
+    if t <= 0:
+        raise ValueError(f"t={t} must be > 0")
     expected_rate = math.exp(-m * t)
     if expected_rate < _MIN_ACCEPTANCE:
         raise RuntimeError(
@@ -343,10 +348,7 @@ def sample_mixed(
     The two summands are independent; the Laplace transform is
     exp(-t (lam^{alpha/2} + a lam^{beta/2})).
     """
-    if not (0.0 < alpha < beta < 2.0):
-        raise ValueError("need 0 < alpha < beta < 2")
-    if a <= 0 or t <= 0:
-        raise ValueError("need a > 0 and t > 0")
+    SubordinatorSpec("mixed", alpha, beta=beta, a=a)  # checks alpha, beta, a; t below
     s_a = sample_stable(alpha, t, rng, size=size)
     s_b = sample_stable(beta, t, rng, size=size)
     return s_a + a ** (2.0 / beta) * s_b

@@ -5,13 +5,13 @@ discretized on a periodic box [-L, L]^d in the Fourier basis: the free part
 is the diagonal multiplier |xi_k|^alpha with xi_k = pi k / L, and V couples
 modes through (2L)^{-d} Vhat(xi_k - xi_l) (periodization of V onto the
 torus).  The mode set k = -(N/2 - 1) .. N/2 - 1 per axis, (N-1)^d modes, is
-closed under k -> -k, and the couplings are gathered from one table of Vhat
-over the (2N-3)^d lattice differences.  One eigendecomposition serves every
-time t.  When V is centred (even in every coordinate), H commutes with each
-axis reflection and is solved as its 2^d even/odd sectors, each a real
-symmetric block about 2^{-d} the size of H, assembled one at a time from
-the table; H is formed, and solved as one dense Hermitian matrix, only for
-an off-centre V.  Then
+closed under k -> -k, and every coupling is read through sliding-window
+views of one table of Vhat over the (2N-3)^d lattice differences.  One
+eigendecomposition serves every time t.  When V is centred (even in every
+coordinate), H commutes with each axis reflection and is solved as its 2^d
+even/odd sectors, each a real symmetric block about 2^{-d} the size of H,
+assembled one at a time from the table; H is formed, and solved as one
+dense Hermitian matrix, only for an off-centre V.  Then
 
     curve(t) = Tr(exp(-t H_V)) - Tr(exp(-t H_alpha))
 
@@ -39,6 +39,7 @@ from scipy import special
 
 from .coefficients import ExponentSchedule
 from .heat_kernel import kernel_at_zero
+from .subordinator import _validate_alpha
 
 __all__ = [
     "SpectralGrid",
@@ -82,12 +83,8 @@ class SpectralGrid:
         dropped so the mode set is closed under k -> -k.
         """
         k = np.arange(1 - self.N // 2, self.N // 2)
-        if self.d == 1:
-            return (math.pi / self.L) * k[:, None].astype(float)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return (math.pi / self.L) * np.stack(
-            [kx.ravel(), ky.ravel()], axis=1
-        ).astype(float)
+        axes = np.meshgrid(*(k,) * self.d, indexing="ij")
+        return (math.pi / self.L) * np.stack([a.ravel() for a in axes], axis=1).astype(float)
 
     def doubled_modes(self) -> "SpectralGrid":
         return SpectralGrid(self.d, self.L, 2 * self.N)
@@ -124,49 +121,41 @@ def _periodization_check(V, grid: SpectralGrid) -> None:
 
 
 def _check_inputs(grid: SpectralGrid, alpha: float, V) -> None:
-    """The size cap, the alpha range and the periodization check of every solve."""
+    """The size, alpha, dimension and periodization checks of every solve."""
     if grid.size > _MAX_DENSE:
         raise ValueError(f"(N-1)^d = {grid.size} exceeds the dense-solve cap {_MAX_DENSE}")
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha={alpha} outside (0, 2]")
-    if V is not None:
-        _periodization_check(V, grid)
+    _validate_alpha(alpha)
+    if V.d != grid.d:
+        raise ValueError(f"potential dimension {V.d} != grid d={grid.d}")
+    _periodization_check(V, grid)
 
 
-def _fourier_table(grid: SpectralGrid, V) -> np.ndarray:
-    """(2L)^{-d} Vhat on the (2N-3)^d lattice differences xi_k - xi_l.
+def _table_windows(grid: SpectralGrid, V, width: int) -> np.ndarray:
+    """Sliding windows of the table T of (2L)^{-d} Vhat over the lattice differences.
 
-    Entry j (per axis) holds the difference k - l = j - (N - 2).
+    win[i, j] = T[i + j] per axis with j < width; T has 2N - 3 entries per
+    axis, entry j holding the difference k - l = j - (N - 2).
     """
     j = (math.pi / grid.L) * np.arange(2 - grid.N, grid.N - 1, dtype=float)
-    if grid.d == 1:
-        pts = j[:, None]
-    else:
-        pts = np.stack(np.meshgrid(j, j, indexing="ij"), axis=-1)
-    return V.fourier(pts) / (2.0 * grid.L) ** grid.d
+    pts = np.stack(np.meshgrid(*(j,) * grid.d, indexing="ij"), axis=-1)
+    table = V.fourier(pts) / (2.0 * grid.L) ** grid.d
+    return np.lib.stride_tricks.sliding_window_view(table, (width,) * grid.d)
 
 
-def build_hamiltonian(grid: SpectralGrid, alpha: float, V=None) -> np.ndarray:
+def build_hamiltonian(grid: SpectralGrid, alpha: float, V) -> np.ndarray:
     """Dense matrix of H_V in the Fourier basis.
 
     Diagonal |xi_k|^alpha + (2L)^{-d} Vhat(0); off-diagonal (k, l) entry
-    (2L)^{-d} Vhat(xi_k - xi_l), gathered from one table of Vhat over the
-    lattice differences.  Real symmetric for even real V, Hermitian
-    otherwise (Vhat(-xi) = conj Vhat(xi) for real V).
+    (2L)^{-d} Vhat(xi_k - xi_l), a Toeplitz view of the table of Vhat over
+    the lattice differences, copied once.  Real symmetric for even real V,
+    Hermitian otherwise (Vhat(-xi) = conj Vhat(xi) for real V).
     """
     _check_inputs(grid, alpha, V)
-    mult = free_multipliers(grid, alpha)
-    if V is None:
-        return np.diag(mult)
-    table = _fourier_table(grid, V)
-    idx = np.arange(grid.N - 1)
-    diff = idx[:, None] - idx[None, :] + (grid.N - 2)
-    if grid.d == 1:
-        H = table[diff]
-    else:
-        # (kx, ky, lx, ly) -> table[kx - lx, ky - ly], flattened row-major
-        H = table[diff[:, None, :, None], diff[None, :, None, :]].reshape(grid.size, grid.size)
-    H[np.diag_indices(grid.size)] += mult
+    # T[k - l] = win[k, N - 2 - l] per axis: the window axes reversed
+    win = _table_windows(grid, V, grid.N - 1)
+    toeplitz = win[(slice(None),) * grid.d + (slice(None, None, -1),) * grid.d]
+    H = np.ascontiguousarray(toeplitz).reshape(grid.size, grid.size)
+    H.ravel()[:: grid.size + 1] += free_multipliers(grid, alpha)
     return H
 
 
@@ -183,7 +172,7 @@ def _sectors(grid: SpectralGrid, alpha: float, V):
     """
     d, m = grid.d, grid.N // 2 - 1  # k = 0 .. m per axis
     # win[i, j] = T[i + j] per axis: T[k - l] = win[m + k, m - l], T[k + l] = win[2m + k, l]
-    win = np.lib.stride_tricks.sliding_window_view(_fourier_table(grid, V), (m + 1,) * d)
+    win = _table_windows(grid, V, m + 1)
     mult = free_multipliers(grid, alpha).reshape((2 * m + 1,) * d)
     for odd in itertools.product((0, 1), repeat=d):
         S = np.zeros(tuple(m + 1 - o for o in odd) * 2)
@@ -204,7 +193,7 @@ def _sectors(grid: SpectralGrid, alpha: float, V):
 
 def _block_spectra(grid: SpectralGrid, alpha: float, V) -> list:
     """Ascending eigenvalues of each block solved: a centred V's sectors, else H."""
-    if V is None or np.any(V.x0):
+    if np.any(V.x0):
         return [np.linalg.eigvalsh(build_hamiltonian(grid, alpha, V))]
     _check_inputs(grid, alpha, V)
     return [np.linalg.eigvalsh(S) for S in _sectors(grid, alpha, V)]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -18,6 +19,22 @@ def test_parse_potential_variants():
     assert isinstance(v, GaussianMixturePotential) and len(v.c) == 2
     v = cli.parse_potential("gaussian:c=1,s=1,x0=0.5|0.25", d=2)
     assert v.d == 2 and v.x0[0, 1] == 0.25
+
+
+@pytest.mark.parametrize("spec,token", [
+    ("lorentz:c=2", "lorentz"),        # not a Gaussian
+    ("gaussian:sigma=2", "sigma"),     # the width is s
+    ("gaussian:c=1,x0=1|2", "x0=1|2"),  # two coordinates at d = 1
+])
+def test_parse_potential_refuses_what_it_cannot_use(tmp_path, capsys, spec, token):
+    with pytest.raises(ValueError, match=re.escape(token)):
+        cli.parse_potential(spec, d=1)
+    out = tmp_path / "out"
+    code = cli.main(["trace", "--d", "1", "--alpha", "1.0", "--potential", spec,
+                     "--n-modes", "64", "--points", "4", "--output", str(out)])
+    assert code == 4
+    assert token in capsys.readouterr().err
+    assert not out.exists()
 
 
 def run_cli(args, tmp_path):

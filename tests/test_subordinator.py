@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from fracheat import coefficients as coeff
+from fracheat import heat_kernel as hk
 from fracheat import subordinator as sub
+from fracheat import trace_oracle as oracle
+from fracheat.potential import GaussianPotential
 
 
 def rng(seed=0):
@@ -346,3 +350,35 @@ def test_subordinator_spec_families():
     s = mix.sample(0.5, rng(19), size=100)
     assert np.all(s > 0)
 
+
+# refusals no other test covers; each rule has one owner, reached from every caller
+REFUSALS = {
+    "spec-stable-alpha": (lambda: sub.SubordinatorSpec("stable", 5.0), "alpha"),
+    "spec-relativistic-alpha2": (lambda: sub.SubordinatorSpec("relativistic", 2.0, m=1.0),
+                                  "alpha"),
+    "spec-relativistic-m": (lambda: sub.SubordinatorSpec("relativistic", 1.0), "mass m"),
+    "spec-mixed-beta": (lambda: sub.SubordinatorSpec("mixed", 1.6, beta=0.8, a=1.0), "beta"),
+    "spec-mixed-a": (lambda: sub.SubordinatorSpec("mixed", 0.8, beta=1.6), "weight a"),
+    "spec-unknown-family": (lambda: sub.SubordinatorSpec("lorentz", 1.0), "unknown family"),
+    "relativistic-kernel-m-zero": (
+        lambda: hk.relativistic_kernel_at_zero(1, 1.0, 0.0, 0.5, 1000, rng()), "mass m"),
+    "relativistic-kernel-m-negative": (
+        lambda: hk.relativistic_kernel_at_zero(1, 1.0, -1.0, 0.5, 1000, rng()), "mass m"),
+    "mixed-kernel-beta-equal": (
+        lambda: hk.mixed_kernel_at_zero(1, 1.2, 1.2, 1.0, 0.5, 1000, rng()), "beta"),
+    "mixed-kernel-beta-below": (
+        lambda: hk.mixed_kernel_at_zero(1, 1.6, 0.8, 1.0, 0.5, 1000, rng()), "beta"),
+    "oracle-dimension": (
+        lambda: oracle._spectrum(oracle.SpectralGrid(1, 10.0, 32), 1.0,
+                                 GaussianPotential(1.0, 1.0, center=(0.0, 0.0))), "dimension"),
+    "hamiltonian-dimension": (
+        lambda: oracle.build_hamiltonian(oracle.SpectralGrid(2, 10.0, 16), 1.0,
+                                         GaussianPotential(1.0, 1.0)), "dimension"),
+    "K2-d1-alpha1.4": (lambda: coeff.deterministic_constant_K("K2", 1, 1.4), "violated"),
+}
+
+
+@pytest.mark.parametrize("call,match", REFUSALS.values(), ids=REFUSALS.keys())
+def test_parameter_rules_refuse(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -23,12 +23,13 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         oracle.SpectralGrid(1, 10.0, 8)
     with pytest.raises(ValueError):
-        oracle.build_hamiltonian(oracle.SpectralGrid(2, 10.0, 128), 1.0)
+        oracle.build_hamiltonian(oracle.SpectralGrid(2, 10.0, 128), 1.0,
+                                 GaussianPotential(0.0, 1.0, center=(0.0, 0.0)))
 
 
 def test_free_hamiltonian_is_diagonal_multiplier():
     grid = oracle.SpectralGrid(1, 10.0, 32)
-    h = oracle.build_hamiltonian(grid, 1.3)
+    h = oracle.build_hamiltonian(grid, 1.3, GaussianPotential(0.0, 1.0))
     xi = np.pi * np.arange(-15, 16) / 10.0
     assert np.allclose(np.diag(h), np.abs(xi) ** 1.3)
     assert np.allclose(h - np.diag(np.diag(h)), 0.0)
@@ -154,6 +155,7 @@ class _ConstantPotential:
 
     def __init__(self, value, grid):
         self.value = value
+        self.d = grid.d
         self.vol = (2.0 * grid.L) ** grid.d
         self.c = np.array([value])
         self.s = np.array([1.0])

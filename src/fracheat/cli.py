@@ -232,22 +232,34 @@ def parse_potential(spec: str, d: int = 1):
     """gaussian:c=1,s=1[,x0=0.5]; components separated by ';'.
 
     Vector centers for d=2 use '|' between coordinates, e.g. x0=0.5|1.  A
-    prefix other than gaussian or gaussians, a key other than c, s and x0,
-    and a center with more than d coordinates are refused.
+    prefix other than gaussian or gaussians, an item without '=', a key
+    other than c, s and x0, a value that is not a number and a center with
+    more than d coordinates are refused, naming the item and its component.
     """
     prefix, body = spec.split(":", 1) if ":" in spec else ("gaussian", spec)
     if prefix not in ("gaussian", "gaussians"):
         raise ValueError(f"unknown potential {prefix!r} in {spec!r}: use gaussian or gaussians")
     amps, widths, centers = [], [], []
     for part in body.split(";"):
-        kv = dict(item.split("=", 1) for item in part.split(",") if item)
+        items = [item for item in part.split(",") if item]
+        bare = [item for item in items if "=" not in item]
+        if bare:
+            raise ValueError(f"item {bare[0]!r} in potential {part!r} is not key=value")
+        kv = dict(item.split("=", 1) for item in items)
         unknown = sorted(kv.keys() - {"c", "s", "x0"})
         if unknown:
             raise ValueError(f"unknown key(s) {', '.join(unknown)} in potential {part!r}")
-        amps.append(float(kv.get("c", 1.0)))
-        widths.append(float(kv.get("s", 1.0)))
+
+        def number(key, text):
+            try:
+                return float(text)
+            except ValueError:
+                raise ValueError(f"{key}={kv[key]} in potential {part!r} is not a number") from None
+
+        amps.append(number("c", kv.get("c", 1.0)))
+        widths.append(number("s", kv.get("s", 1.0)))
         x0 = kv.get("x0", "0")
-        vec = [float(u) for u in x0.split("|")]
+        vec = [number("x0", u) for u in x0.split("|")]
         if len(vec) > d:
             raise ValueError(f"center x0={x0} has more than d={d} coordinates")
         centers.append(vec + [0.0] * (d - len(vec)))

@@ -29,12 +29,14 @@ That stderr holds also where the integrand's fourth moment is infinite
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .heat_kernel import Estimate, kernel_at_zero
+from .potential import _add
 from .sobol import ScrambledSobol
 from .subordinator import _row_blocks, _validate_alpha, increments_batch
 
@@ -109,13 +111,15 @@ def _lj_batch(heads, incs, totals, thetas):
     degenerate lambda.  Shapes: heads and totals (n,), incs (n, j-1),
     thetas (n, j-1, d); returns (n,).
     """
-    gam = np.cumsum(thetas, axis=1)
-    g2 = (gam**2).sum(axis=2)
-    val = heads * (incs * g2).sum(axis=1)
-    jm1 = incs.shape[1]
+    jm1, d = thetas.shape[1], thetas.shape[2]
+
+    def norm2(x):
+        return _add([x[:, c] ** 2 for c in range(d)])
+
+    gam = list(itertools.accumulate(thetas[:, k] for k in range(jm1)))
+    val = heads * _add([incs[:, k] * norm2(gam[k]) for k in range(jm1)])
     for r in range(jm1 - 1):
-        cross = ((gam[:, r, None, :] - gam[:, r + 1 :, :]) ** 2).sum(axis=2)
-        val += (incs[:, r, None] * incs[:, r + 1 :] * cross).sum(axis=1)
+        val += _add([incs[:, r] * incs[:, s] * norm2(gam[r] - gam[s]) for s in range(r + 1, jm1)])
     return val / totals
 
 
@@ -312,10 +316,7 @@ def mc_coefficient_Cnj(
     )
 
     def integrand(heads, incs, totals, th):
-        w = V.fourier(-th.sum(axis=1))
-        for i in range(j - 1):
-            w = w * V.fourier(th[:, i, :])
-        w = np.real(w) / np.prod(V.proposal_density(th), axis=1)
+        w = V.theta_weight(th)
         ljn = _lj_batch(heads, incs, totals, th) ** n if n > 0 else 1.0
         return totals ** (-d / 2.0) * ljn * w
 

@@ -21,6 +21,12 @@ from scipy import integrate, optimize
 __all__ = ["GaussianPotential", "GaussianMixturePotential"]
 
 
+def _add(terms):
+    # left to right: the order in which numpy's sum adds fewer than eight
+    # terms, so a loop of these equals the reduction it replaces bit for bit
+    return sum(terms[1:], terms[0])
+
+
 class GaussianMixturePotential:
     """A finite signed sum of isotropic Gaussian bumps in R^d."""
 
@@ -70,21 +76,41 @@ class GaussianMixturePotential:
         ).sum(axis=-1)
         return float(val) if val.ndim == 0 else val
 
+    def _envelopes(self, xi):
+        """Each component's c_i (s_i sqrt(pi))^d exp(-s_i^2 |xi|^2 / 4), xi of shape (..., d).
+
+        The one place the envelope is written: fourier adds the phases,
+        proposal_density the absolute values, theta_weight both from one call
+        per point.
+        """
+        r2 = _add([xi[..., k] ** 2 for k in range(self.d)])
+        amp = self.c * (self.s * math.sqrt(math.pi)) ** self.d
+        # -s^2/4 scales by a power of two: the product equals (-s^2 r2) / 4
+        decay = -self.s**2 / 4.0
+        return [amp[i] * np.exp(decay[i] * r2) for i in range(len(self.c))]
+
+    def _fourier(self, xi, env):
+        # Vhat from the envelopes of the points xi
+        if not np.any(self.x0):
+            return _add(env)
+        # exp(-i arg) by cos and sin of the real argument: a complex exp
+        # costs several times as much and gives the same values
+        args = [_add([xi[..., k] * x0[k] for k in range(self.d)]) for x0 in self.x0]
+        out = np.empty(np.shape(env[0]), dtype=complex)
+        out.real = _add([e * np.cos(a) for e, a in zip(env, args)])
+        out.imag = -_add([e * np.sin(a) for e, a in zip(env, args)])
+        return out
+
+    def _density(self, env):
+        return _add([np.abs(e) for e in env]) / self.proposal_mass
+
     def fourier(self, xi):
         """Vhat(xi); complex in general, real when every center is zero."""
         xi = self._as_points(xi)
-        amp = self.c * (self.s * math.sqrt(math.pi)) ** self.d
-        envelope = amp * np.exp(-self.s**2 * (xi**2).sum(axis=-1)[..., None] / 4.0)
-        if np.any(self.x0):
-            # exp(-i arg) by cos and sin of the real argument: a complex exp
-            # costs several times as much and gives the same values
-            arg = (xi[..., None, :] * self.x0).sum(axis=-1)
-            out = np.empty(arg.shape[:-1], dtype=complex)
-            out.real = (envelope * np.cos(arg)).sum(axis=-1)
-            out.imag = -(envelope * np.sin(arg)).sum(axis=-1)
-            return complex(out) if out.ndim == 0 else out
-        out = envelope.sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
+        out = self._fourier(xi, self._envelopes(xi))
+        if np.ndim(out):
+            return out
+        return complex(out) if np.iscomplexobj(out) else float(out)
 
     # -- exact functionals -----------------------------------------------
 
@@ -202,10 +228,33 @@ class GaussianMixturePotential:
 
     def proposal_density(self, theta):
         """Density of the envelope proposal sum_i |Vhat_i| / proposal_mass."""
-        theta = self._as_points(theta)
-        amp = np.abs(self.c) * (self.s * math.sqrt(math.pi)) ** self.d
-        env = amp * np.exp(-self.s**2 * (theta**2).sum(axis=-1)[..., None] / 4.0)
-        return env.sum(axis=-1) / self.proposal_mass
+        return self._density(self._envelopes(self._as_points(theta)))
+
+    def theta_weight(self, theta):
+        """Re[Vhat(-sum_k theta_k) prod_k Vhat(theta_k)] / prod_k proposal_density(theta_k).
+
+        theta has shape (n, j-1, d); returns (n,).  Each theta_k's envelopes
+        serve both its Vhat and its density.  At j = 2, Vhat(-theta) is taken
+        as conj Vhat(theta): sin is odd and cos even bit for bit, so the
+        value equals the product of the two fourier calls.
+        """
+        theta = np.asarray(theta, dtype=float)
+        points = [theta[:, k] for k in range(theta.shape[1])]
+        envs = [self._envelopes(p) for p in points]
+        q = math.prod(self._density(e) for e in envs)
+        if len(points) == 1:
+            f = self._fourier(points[0], envs[0])
+            w = np.conj(f) * f
+        else:
+            total = -_add(points)
+            w = self._fourier(total, self._envelopes(total))
+            # each factor a temporary, as in the product of fourier calls:
+            # numpy may multiply a large temporary in place with the operands
+            # swapped, and a complex product's imaginary part depends on the
+            # operand order
+            for p, e in zip(points, envs):
+                w = w * self._fourier(p, e)
+        return np.real(w) / q
 
     def proposal_sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw theta in R^d from the envelope proposal; shape (*size, d)."""

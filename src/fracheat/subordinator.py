@@ -78,6 +78,10 @@ class SubordinatorSpec:
     def __post_init__(self):
         if self.family not in self.PARAMETERS:
             raise ValueError(f"unknown family {self.family!r}")
+        unused = [k for k in ("m", "beta", "a")
+                  if getattr(self, k) != 0.0 and k not in self.PARAMETERS[self.family]]
+        if unused:
+            raise ValueError(f"{self.family} family does not use {', '.join(unused)}")
         if self.family == "mixed":
             if not (0.0 < self.alpha < self.beta < 2.0):
                 raise ValueError("mixed family needs 0 < alpha < beta < 2")

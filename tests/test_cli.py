@@ -25,6 +25,8 @@ def test_parse_potential_variants():
     ("lorentz:c=2", "lorentz"),        # not a Gaussian
     ("gaussian:sigma=2", "sigma"),     # the width is s
     ("gaussian:c=1,x0=1|2", "x0=1|2"),  # two coordinates at d = 1
+    ("gaussian:c=1,s", "item 's'"),   # an item without '='
+    ("gaussian:c=abc", "c=abc"),       # not a number
 ])
 def test_parse_potential_refuses_what_it_cannot_use(tmp_path, capsys, spec, token):
     with pytest.raises(ValueError, match=re.escape(token)):

@@ -183,6 +183,55 @@ def test_same_seed_same_estimates():
         assert est.params["method"] == "rqmc" and est.params["scrambles"] == coeff.SCRAMBLES
 
 
+# Three more paths of the C_{n,j} integrand at the same sample count: a
+# centred Gaussian at j = 3, an off-centre mixture at j = 3 (complex
+# products of three Fourier factors) and an off-centre mixture in d = 2.
+PINNED_PATHS = {
+    "C13 gaussian d=1 alpha=1.8": (
+        lambda: (GaussianPotential(1.0, 1.0), 1, 3, 1, 1.8, 16180),
+        (0.05095114483277137, 1.571332017745516e-05)),
+    "C03 mixture d=1 alpha=1.8": (
+        lambda: (GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3]), 0, 3, 1, 1.8,
+                 14142),
+        (0.10801313143258735, 2.488397098586338e-05)),
+    "C12 mixture d=2 alpha=1.5": (
+        lambda: (GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [[0.0, 0.0], [1.0, 0.3]], d=2),
+                 1, 2, 2, 1.5, 17320),
+        (0.1397897601121333, 8.416103220027426e-05)),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_PATHS.values(), ids=PINNED_PATHS.keys())
+def test_same_seed_same_estimates_more_paths(case):
+    args, pinned = case
+    v, n, j, d, alpha, seed = args()
+    est = coeff.mc_coefficient_Cnj(v, n, j, d, alpha, PINNED_N, rng(seed))
+    assert (est.value, est.stderr) == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("v,j", [(GaussianPotential(1.0, 1.0), 3),
+                                 (GaussianMixturePotential([1.0, -0.6], [1.0, 0.5],
+                                                           [0.4, -0.3]), 2)])
+def test_cnj_weights_each_row_block_once(monkeypatch, v, j):
+    # the integrand takes its theta weight from one theta_weight call per row
+    # block, never from separate fourier and proposal_density calls
+    calls = {"fourier": 0, "proposal_density": 0, "theta_weight": 0}
+    for name in calls:
+        original = getattr(GaussianMixturePotential, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(GaussianMixturePotential, name, counted)
+    m = sub._BLOCK + 5
+    coeff.mc_coefficient_Cnj(v, 1, j, 1, 1.8, coeff.SCRAMBLES * m, rng(4))
+    blocks = len(list(sub._row_blocks(m)))
+    assert blocks == 2
+    assert calls == {"fourier": 0, "proposal_density": 0,
+                     "theta_weight": coeff.SCRAMBLES * blocks}
+
+
 def test_scramble_blocks_match_whole_scrambles(monkeypatch):
     # a scramble generated and evaluated in blocks of points gives the
     # estimate of the whole scramble at once, up to summation order

@@ -120,6 +120,25 @@ def test_offcentre_fourier_matches_complex_exp(d):
     assert v.fourier(xi[0]) == pytest.approx(complex(want[0]), rel=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("centred", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_theta_weight_matches_fourier_products(k, centred, d):
+    # the fused weight against the product of fourier and proposal_density
+    # calls it replaces, by equality: on a partial and on a full row block
+    r = np.random.default_rng(10 * k + d)
+    x0 = np.zeros((k, d)) if centred else r.uniform(-1.0, 1.0, (k, d))
+    v = GaussianMixturePotential([1.0, -0.6, 0.3][:k], [1.0, 0.5, 1.4][:k], x0, d=d)
+    for j in (2, 3, 4):
+        for n in (1000, 1 << 14):
+            th = v.proposal_sample(r, (n, j - 1))
+            w = v.fourier(-th.sum(axis=1))
+            for i in range(j - 1):
+                w = w * v.fourier(th[:, i, :])
+            want = np.real(w) / np.prod(v.proposal_density(th), axis=1)
+            assert np.array_equal(v.theta_weight(th), want)
+
+
 # ---------------------------------------------------------------------------
 # mixtures
 

@@ -360,6 +360,12 @@ REFUSALS = {
     "spec-mixed-beta": (lambda: sub.SubordinatorSpec("mixed", 1.6, beta=0.8, a=1.0), "beta"),
     "spec-mixed-a": (lambda: sub.SubordinatorSpec("mixed", 0.8, beta=1.6), "weight a"),
     "spec-unknown-family": (lambda: sub.SubordinatorSpec("lorentz", 1.0), "unknown family"),
+    "spec-stable-unused": (lambda: sub.SubordinatorSpec("stable", 1.5, m=3.0, a=2.0),
+                           "does not use m, a"),
+    "spec-relativistic-unused": (
+        lambda: sub.SubordinatorSpec("relativistic", 1.0, m=1.0, beta=0.5), "does not use beta"),
+    "spec-mixed-unused": (lambda: sub.SubordinatorSpec("mixed", 0.8, m=1.0, beta=1.6, a=1.0),
+                          "does not use m"),
     "relativistic-kernel-m-zero": (
         lambda: hk.relativistic_kernel_at_zero(1, 1.0, 0.0, 0.5, 1000, rng()), "mass m"),
     "relativistic-kernel-m-negative": (

@@ -248,12 +248,11 @@ class GaussianMixturePotential:
         else:
             total = -_add(points)
             w = self._fourier(total, self._envelopes(total))
-            # each factor a temporary, as in the product of fourier calls:
-            # numpy may multiply a large temporary in place with the operands
-            # swapped, and a complex product's imaginary part depends on the
-            # operand order
+            # w * factor in this order at every size: `w = w * f` lets numpy
+            # reuse a large temporary f in place as f * w, and a complex
+            # product's imaginary part depends on the operand order
             for p, e in zip(points, envs):
-                w = w * self._fourier(p, e)
+                np.multiply(w, self._fourier(p, e), out=w)
         return np.real(w) / q
 
     def proposal_sample(self, rng: np.random.Generator, size) -> np.ndarray:

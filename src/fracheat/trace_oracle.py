@@ -8,10 +8,12 @@ torus).  The mode set k = -(N/2 - 1) .. N/2 - 1 per axis, (N-1)^d modes, is
 closed under k -> -k, and every coupling is read through sliding-window
 views of one table of Vhat over the (2N-3)^d lattice differences.  One
 eigendecomposition serves every time t.  When V is centred (even in every
-coordinate), H commutes with each axis reflection and is solved as its 2^d
-even/odd sectors, each a real symmetric block about 2^{-d} the size of H,
-assembled one at a time from the table; H is formed, and solved as one
-dense Hermitian matrix, only for an off-centre V.  Then
+coordinate), H commutes with each axis reflection and, its components being
+isotropic, with each permutation of the axes: it is solved in the blocks of
+that symmetry group (even and odd at d = 1; the square's five distinct
+blocks at d = 2, one of them standing for two isospectral ones), real
+symmetric and assembled one at a time from the table; H is formed, and
+solved as one dense Hermitian matrix, only for an off-centre V.  Then
 
     curve(t) = Tr(exp(-t H_V)) - Tr(exp(-t H_alpha))
 
@@ -160,21 +162,28 @@ def build_hamiltonian(grid: SpectralGrid, alpha: float, V) -> np.ndarray:
 
 
 def _sectors(grid: SpectralGrid, alpha: float, V):
-    """Yield the 2^d reflection sectors of H_V for a V even in every coordinate.
+    """Yield (block, multiplicity) over the symmetry blocks of H_V for a centred V.
 
     Per axis, over the modes k, l >= 0, the even sector is D (T[k-l] + T[k+l]) D
     with D = diag(1/sqrt 2, 1, ...) and the odd sector is T[k-l] - T[k+l] on
     k, l >= 1, where T is the table of Vhat: a Toeplitz part plus or minus a
-    Hankel part, both views of the table's sliding windows.  |xi_k|^alpha is
-    added to the diagonal after the scaling.  Each sector is H restricted to
-    an orthonormal basis of one reflection parity, so their spectra together
-    are H's; H itself is never formed.
+    Hankel part, both views of the table's sliding windows.  Each sector is H
+    restricted to an orthonormal basis of one reflection parity, so their
+    spectra together are H's; H itself is never formed.
+
+    Every component of a mixture is isotropic, so a centred V is also even
+    under any permutation of the axes.  Sectors whose parities differ by a
+    permutation are isospectral: only the one with ascending parities is
+    built, and its multiplicity counts the others (the (even, odd) sector
+    stands for (odd, even) in d = 2).  A sector whose two axes share a
+    parity commutes with the swap (k1, k2) -> (k2, k1) and splits by
+    _swap_blocks.  |xi_k|^alpha is added to each block's diagonal last.
     """
     d, m = grid.d, grid.N // 2 - 1  # k = 0 .. m per axis
     # win[i, j] = T[i + j] per axis: T[k - l] = win[m + k, m - l], T[k + l] = win[2m + k, l]
     win = _table_windows(grid, V, m + 1)
     mult = free_multipliers(grid, alpha).reshape((2 * m + 1,) * d)
-    for odd in itertools.product((0, 1), repeat=d):
+    for odd in itertools.combinations_with_replacement((0, 1), d):
         S = np.zeros(tuple(m + 1 - o for o in odd) * 2)
         for hankel in itertools.product((0, 1), repeat=d):
             rows = tuple(slice((1 + h) * m + o, (2 + h) * m + 1) for h, o in zip(hankel, odd))
@@ -185,23 +194,52 @@ def _sectors(grid: SpectralGrid, alpha: float, V):
         for ax in (ax for ax, o in enumerate(odd) if not o):
             S[(slice(None),) * ax + (0,)] *= math.sqrt(0.5)
             S[(slice(None),) * (d + ax) + (0,)] *= math.sqrt(0.5)
-        n = math.prod(S.shape[:d])
-        S = S.reshape(n, n)
-        S.ravel()[:: n + 1] += mult[tuple(slice(m + o, None) for o in odd)].ravel()
-        yield S
+        diag = mult[tuple(slice(m + o, None) for o in odd)]
+        mirrors = len(set(itertools.permutations(odd)))
+        # two axes of one parity: the swap maps the sector to itself
+        for B, free in _swap_blocks(S, diag) if len(set(odd)) < d else [(S, diag)]:
+            n = free.size
+            B = B.reshape(n, n)
+            B.ravel()[:: n + 1] += free.ravel()
+            yield B, mirrors
+
+
+def _swap_blocks(S, diag):
+    """Split a d = 2 sector (k1, k2, l1, l2) by the swap of its axes.
+
+    Over the pairs P = (a, b), Q = (p, q) with Q' = (q, p), the swap-even
+    block is D (S[P, Q] + S[P, Q']) D on a <= b, p <= q, with D = 1/sqrt 2 on
+    the pairs a = b, and the swap-odd block is S[P, Q] - S[P, Q'] on a < b,
+    p < q.  Returns each block with its free multipliers diag[a, b].
+    """
+    blocks = []
+    for strict, combine in ((0, np.add), (1, np.subtract)):
+        a, b = np.triu_indices(diag.shape[0], strict)  # a <= b, then a < b
+        B = combine(S[a[:, None], b[:, None], a, b], S[a[:, None], b[:, None], b, a])
+        if not strict:
+            w = np.where(a == b, math.sqrt(0.5), 1.0)
+            B *= w[:, None]
+            B *= w
+        blocks.append((B, diag[a, b]))
+    return blocks
 
 
 def _block_spectra(grid: SpectralGrid, alpha: float, V) -> list:
-    """Ascending eigenvalues of each block solved: a centred V's sectors, else H."""
+    """(ascending eigenvalues, multiplicity) of each block solved: a centred V's, else H's."""
     if np.any(V.x0):
-        return [np.linalg.eigvalsh(build_hamiltonian(grid, alpha, V))]
+        return [(np.linalg.eigvalsh(build_hamiltonian(grid, alpha, V)), 1)]
     _check_inputs(grid, alpha, V)
-    return [np.linalg.eigvalsh(S) for S in _sectors(grid, alpha, V)]
+    return [(np.linalg.eigvalsh(B), mirrors) for B, mirrors in _sectors(grid, alpha, V)]
+
+
+def _union(blocks) -> np.ndarray:
+    """The ascending spectrum of H: each block's eigenvalues repeated by its multiplicity."""
+    return np.sort(np.concatenate([np.tile(mu, mirrors) for mu, mirrors in blocks]))
 
 
 def _spectrum(grid: SpectralGrid, alpha: float, V) -> np.ndarray:
-    """Ascending eigenvalues of H_V: over the sectors of a centred V, else of dense H."""
-    return np.sort(np.concatenate(_block_spectra(grid, alpha, V)))
+    """Ascending eigenvalues of H_V: over the symmetry blocks of a centred V, else of dense H."""
+    return _union(_block_spectra(grid, alpha, V))
 
 
 @dataclass(frozen=True)
@@ -220,15 +258,17 @@ def trace_difference_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Trace
 
     The discrete free trace's mismatch with (2L)^d p_t(0) at the largest t
     is reported in ``meta['free_match_rel']``; the free normalization does
-    not rely on it.  ``meta['solve']`` reads "sectors" or "dense", and
-    ``meta['block_sizes']`` holds the size of each eigensolve.
+    not rely on it.  ``meta['solve']`` reads "sectors" or "dense",
+    ``meta['block_sizes']`` holds the size of each eigensolve and
+    ``meta['block_multiplicities']`` how often its eigenvalues repeat in the
+    spectrum, so that the sizes times the multiplicities sum to (N-1)^d.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
         raise ValueError("t values must lie in (0, 1)")
     free = free_multipliers(grid, alpha)
     blocks = _block_spectra(grid, alpha, V)
-    mu = np.sort(np.concatenate(blocks))
+    mu = _union(blocks)
     trace_pert = np.exp(-np.outer(t_grid, mu)).sum(axis=1)
     trace_free = np.exp(-np.outer(t_grid, free)).sum(axis=1)
     values = trace_pert - trace_free
@@ -244,7 +284,8 @@ def trace_difference_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Trace
             "d": grid.d, "L": grid.L, "N": grid.N, "alpha": alpha,
             "free_match_rel": free_match, "refined": False,
             "solve": "sectors" if len(blocks) > 1 else "dense",
-            "block_sizes": [b.size for b in blocks],
+            "block_sizes": [b.size for b, _ in blocks],
+            "block_multiplicities": [mirrors for _, mirrors in blocks],
         },
     )
 
@@ -261,6 +302,7 @@ def extrapolated_trace_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Tra
     meta = dict(base.meta)
     meta["refined"] = True
     meta["fine_block_sizes"] = fine.meta["block_sizes"]
+    meta["fine_block_multiplicities"] = fine.meta["block_multiplicities"]
     meta["grid_doubling_max_rel_change"] = float(
         np.max(np.abs(fine.normalized / base.normalized - 1.0))
     )

@@ -134,6 +134,22 @@ def test_trace_honours_L(tmp_path):
     assert _read_result(tmp_path)["meta"]["L"] == 10.0
 
 
+def test_trace_d2_records_the_symmetry_blocks(tmp_path):
+    # a centred d=2 potential is solved in the square's symmetry blocks, on
+    # the base grid and on the doubled grid of the Richardson pair
+    assert run_cli(
+        ["trace", "--d", "2", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--L", "10",
+         "--n-modes", "16", "--points", "4", "--seed", "0"],
+        tmp_path,
+    ) == 0
+    meta = _read_result(tmp_path)["meta"]
+    assert meta["solve"] == "sectors"
+    assert meta["block_sizes"] == [36, 28, 56, 28, 21]
+    assert meta["block_multiplicities"] == [1, 1, 2, 1, 1]
+    assert meta["fine_block_sizes"] == [136, 120, 240, 120, 105]
+    assert meta["fine_block_multiplicities"] == [1, 1, 2, 1, 1]
+
+
 def _manifest(root):
     (d,) = [p for p in root.iterdir() if p.is_dir()]
     return json.loads((d / "manifest.json").read_text())

@@ -134,9 +134,19 @@ def test_theta_weight_matches_fourier_products(k, centred, d):
             th = v.proposal_sample(r, (n, j - 1))
             w = v.fourier(-th.sum(axis=1))
             for i in range(j - 1):
-                w = w * v.fourier(th[:, i, :])
+                w = np.multiply(w, v.fourier(th[:, i, :]))
             want = np.real(w) / np.prod(v.proposal_density(th), axis=1)
             assert np.array_equal(v.theta_weight(th), want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_theta_weight_does_not_depend_on_the_block_size(d):
+    # a full 2^14-row block and its first 100 rows multiply the complex
+    # factors of an off-centre j = 3 weight in the same operand order
+    r = np.random.default_rng(40 + d)
+    v = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], r.uniform(-1.0, 1.0, (2, d)), d=d)
+    th = v.proposal_sample(r, (1 << 14, 2))
+    assert np.array_equal(v.theta_weight(th)[:100], v.theta_weight(th[:100]))
 
 
 # ---------------------------------------------------------------------------

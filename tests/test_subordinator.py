@@ -262,6 +262,22 @@ def test_relativistic_laplace_law():
     assert abs(x.mean() - want) <= 3.0 * x.std(ddof=1) / math.sqrt(n)
 
 
+def test_relativistic_laplace_law_pooled_over_seeds():
+    # the benchmark's relativistic draw (alpha=1, m=1, t=0.5) at 64 seeds:
+    # each seed's z of the Laplace law should be a standard normal, so the
+    # pooled mean lies within 4 sd of 0 (sd 1/8), the spread within about
+    # 4 sd of 1 (sd ~0.09) and no single |z| far in the tail
+    n, seeds = 1 << 16, 64
+    draws = [sub.sample_relativistic(1.0, 1.0, 0.5, rng(seed), size=n) for seed in range(seeds)]
+    for lam in (0.5, 1.0):
+        want = math.exp(-0.5 * (math.sqrt(1.0 + lam) - 1.0))
+        x = np.exp(-lam * np.stack(draws))
+        z = (x.mean(axis=1) - want) / (x.std(axis=1, ddof=1) / math.sqrt(n))
+        assert abs(z.mean()) <= 0.5
+        assert 0.65 <= z.std(ddof=1) <= 1.35
+        assert np.abs(z).max() <= 4.5
+
+
 def test_relativistic_acceptance_rate():
     n = 4 * 10**5
     _, proposals, accepted = sub.sample_relativistic(

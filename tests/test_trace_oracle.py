@@ -61,19 +61,52 @@ def test_hamiltonian_matches_pointwise_fourier(d, center):
 
 
 @pytest.mark.parametrize(
-    "d,N,L", [(1, 128, 20.0), (1, 1024, 40.0), (2, 20, 10.0), (2, 32, 10.0)]
+    "d,N,L", [(1, 128, 20.0), (1, 1024, 40.0), (2, 16, 10.0), (2, 20, 10.0), (2, 32, 10.0)]
 )
 def test_folded_spectrum_matches_dense(d, N, L):
-    # the sectors come from the Fourier table; the reference is the dense H
+    # the blocks come from the Fourier table; the reference is the dense H
     grid = oracle.SpectralGrid(d, L, N)
-    v = _mixture(d, 0.0)
-    blocks = list(oracle._sectors(grid, 1.3, v))
-    assert len(blocks) == 2**d
-    assert sum(b.shape[0] for b in blocks) == grid.size
-    assert all(b.shape[0] == b.shape[1] for b in blocks)
-    dense = np.linalg.eigvalsh(oracle.build_hamiltonian(grid, 1.3, v))
-    folded = oracle._spectrum(grid, 1.3, v)
-    assert np.max(np.abs(folded - dense)) < 1e-10
+    for v in (_mixture(d, 0.0), GaussianPotential(-1.0, 1.0, center=(0.0,) * d)):
+        blocks = list(oracle._sectors(grid, 1.3, v))
+        # d=1: even, odd; d=2: the square's blocks, (even, odd) standing for (odd, even)
+        assert [mult for _, mult in blocks] == ([1, 1] if d == 1 else [1, 1, 2, 1, 1])
+        assert sum(b.shape[0] * mult for b, mult in blocks) == grid.size
+        assert all(b.shape[0] == b.shape[1] for b, _ in blocks)
+        dense = np.linalg.eigvalsh(oracle.build_hamiltonian(grid, 1.3, v))
+        folded = oracle._spectrum(grid, 1.3, v)
+        assert np.max(np.abs(folded - dense)) < 1e-10
+
+
+def _reflection_sectors_1d(grid, alpha, v):
+    # reference: T[k - l] +- T[k + l] over k, l >= 0 gathered from the table,
+    # row and column k = 0 of the even sector scaled by sqrt(1/2), then the
+    # free multipliers on the diagonal; the same float operations as _sectors
+    m = grid.N // 2 - 1
+    j = (math.pi / grid.L) * np.arange(2 - grid.N, grid.N - 1, dtype=float)
+    table = v.fourier(j[:, None]) / (2.0 * grid.L)
+    k = np.arange(m + 1)
+    toeplitz, hankel = table[2 * m + k[:, None] - k], table[2 * m + k[:, None] + k]
+    even, odd = toeplitz + hankel, (toeplitz - hankel)[1:, 1:]
+    even[0] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    mult = oracle.free_multipliers(grid, alpha)[m:]
+    even[np.diag_indices(m + 1)] += mult
+    odd[np.diag_indices(m)] += mult[1:]
+    return [even, odd]
+
+
+@pytest.mark.parametrize("N", [64, 1024])
+def test_d1_sectors_are_the_reflection_sectors(N):
+    # d=1 has no axis swap: its blocks are exactly its two reflection sectors
+    grid = oracle.SpectralGrid(1, 40.0, N)
+    v = _mixture(1, 0.0)
+    want = _reflection_sectors_1d(grid, 1.3, v)
+    got = list(oracle._sectors(grid, 1.3, v))
+    assert [mult for _, mult in got] == [1, 1]
+    for (b, _), w in zip(got, want):
+        assert np.array_equal(b, w)
+    spec = np.sort(np.concatenate([np.linalg.eigvalsh(w) for w in want]))
+    assert np.array_equal(oracle._spectrum(grid, 1.3, v), spec)
 
 
 @pytest.mark.parametrize("d,N,L,limit_mb", [(1, 2048, 40.0, 32), (2, 48, 15.0, 16)])
@@ -91,14 +124,18 @@ def test_centred_spectrum_memory_is_bounded(d, N, L, limit_mb):
 
 
 @pytest.mark.parametrize("d,center,solve,sizes", [
-    (1, 0.0, "sectors", [32, 31]), (1, 0.4, "dense", [63]),
-    (2, 0.0, "sectors", [64, 56, 56, 49]), (2, 0.4, "dense", [225]),
+    (1, 0.0, "sectors", [(32, 1), (31, 1)]), (1, 0.4, "dense", [(63, 1)]),
+    (2, 0.0, "sectors", [(36, 1), (28, 1), (56, 2), (28, 1), (21, 1)]),
+    (2, 0.4, "dense", [(225, 1)]),
 ])
 def test_curve_records_how_the_spectrum_was_solved(d, center, solve, sizes):
+    # sizes: (size, multiplicity) of each eigensolve
     grid = oracle.SpectralGrid(d, 10.0, 64 if d == 1 else 16)
     curve = oracle.trace_difference_curve(_mixture(d, center), 1.3, grid, [0.01, 0.1])
     assert curve.meta["solve"] == solve
-    assert curve.meta["block_sizes"] == sizes
+    assert curve.meta["block_sizes"] == [n for n, _ in sizes]
+    assert curve.meta["block_multiplicities"] == [k for _, k in sizes]
+    assert sum(n * k for n, k in sizes) == grid.size
 
 
 def test_sector_path_makes_the_dense_checks():

@@ -41,8 +41,11 @@ from . import trace_oracle as oracle
 from .acceptance import acceptance_suite
 
 SCHEMA_VERSION = 1
-#: result fields the manifest repeats: how an estimate was sampled
+#: result fields the manifest repeats: how an estimate was obtained
 SAMPLING = ("method", "scrambles", "n_samples")
+#: output formats; csv only for the experiments whose results are rows
+FORMATS = ("json", "csv")
+ROWS = ("sample", "moments", "kernel", "schedule", "trace")
 
 
 @functools.cache
@@ -185,6 +188,10 @@ class RunConfig:
 
     def __post_init__(self):
         self.params = _resolve(self.experiment, self.params)
+        if self.fmt not in FORMATS:
+            raise ValueError(f"unknown format {self.fmt!r}: use {' or '.join(FORMATS)}")
+        if self.fmt == "csv" and self.experiment not in ROWS:
+            raise ValueError(f"{self.experiment} returns no rows to write as csv; use json")
 
     def text_params(self) -> dict:
         """The parameters as the strings hashes, manifests and config files hold."""
@@ -322,15 +329,12 @@ def _exp_constants(cfg, rng):
         raise ValueError("the closed-form path requires alpha = 2")
     fn = {"L": coeff.constant_L, "M": coeff.constant_M, "N": coeff.constant_N}.get(which)
     est = fn(d, alpha, n, rng) if fn else coeff._scaled_constant(which, d, alpha, n, rng, 1.0)
-    out = {"which": which, "d": d, "alpha": alpha, "value": est.value,
-           "stderr": est.stderr, "n_samples": est.n_samples,
-           "path": est.params.get("path", "mc")}
-    out.update(_sampling(est))
-    return out, None
+    return {"which": which, "d": d, "alpha": alpha, "value": est.value,
+            "stderr": est.stderr, "n_samples": est.n_samples, **_sampling(est)}, None
 
 
 def _sampling(est) -> dict:
-    # how a Monte Carlo estimate was sampled, as its params record it
+    # how an estimate was obtained, as its params record it
     return {k: est.params[k] for k in SAMPLING if k in est.params}
 
 
@@ -464,12 +468,10 @@ def run(cfg: RunConfig, no_cache: bool = False) -> int:
         status = 1
     os.makedirs(outdir, exist_ok=True)
     result_path = os.path.join(outdir, f"result.{cfg.fmt}")
-    if cfg.fmt == "csv" and rows is not None:
-        with open(result_path, "w", newline="") as fh:
+    with open(result_path, "w", newline="") as fh:
+        if cfg.fmt == "csv":
             csv.writer(fh).writerows(rows)
-    else:
-        result_path = os.path.join(outdir, "result.json")
-        with open(result_path, "w") as fh:
+        else:
             json.dump(payload, fh, indent=2, sort_keys=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -504,7 +506,7 @@ def run(cfg: RunConfig, no_cache: bool = False) -> int:
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default=None, help="output root directory")
-    sp.add_argument("--format", default="json", choices=("json", "csv"))
+    sp.add_argument("--format", default="json", help="json, or csv for row results")
     sp.add_argument("--no-cache", action="store_true")
 
 

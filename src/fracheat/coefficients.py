@@ -18,11 +18,13 @@ C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N by randomized
 quasi-Monte Carlo (closed Gamma-function forms of K1/K2/K3 at alpha = 2),
 and generates exponent schedules with their validity conditions.
 
-Both estimators run through one engine, _mc_estimate: the samplers
-(_sorted_simplex, increments_batch, the potential's proposal_sample) draw
-every uniform from a PointStream of scrambled Sobol points in place of a
-Generator, SCRAMBLES independent scrambles of ceil(n / SCRAMBLES) points
-each are averaged, and the stderr is the spread of the scramble means.
+Both estimators run through one engine, _mc_estimate: each estimator
+declares the column widths of its samplers (_sorted_simplex,
+increments_batch, the potential's proposal_sample), every block of
+scrambled Sobol points is split once by those widths, and each sampler
+transforms its own columns and refuses any other count.  SCRAMBLES
+independent scrambles of ceil(n / SCRAMBLES) points each are averaged, and
+the stderr is the spread of the scramble means.
 That stderr holds also where the integrand's fourth moment is infinite
 (K1 at d = 1), but it needs a finite variance (not K2 at d <= 2).
 """
@@ -134,11 +136,14 @@ def _k_validity(which: str, d: int, alpha: float) -> None:
     _require_order(2 if which == "K2" else 1, d, alpha, which)
 
 
-def _sorted_simplex(rng, n, j):
-    # uniform on I_j: sort j uniforms, descending; density j! on the simplex.
-    # For j = 2, 3 a min/max comparator network returns exactly the values
-    # np.sort does, without its per-row call overhead.
-    x = rng.uniform(0.0, 1.0, (n, j))
+def _sorted_simplex(x):
+    # uniform on I_j from uniforms x of shape (n, j): each row sorted,
+    # descending; density j! on the simplex.  For j = 2, 3 a min/max
+    # comparator network returns exactly the values np.sort does, without
+    # its per-row call overhead.
+    j = x.shape[1]
+    if j < 2:
+        raise ValueError(f"a point of the simplex I_j needs j >= 2 columns, got {j}")
     if j > 3:
         return np.sort(x, axis=1)[:, ::-1]
     out = np.empty_like(x)
@@ -155,36 +160,43 @@ def _sorted_simplex(rng, n, j):
     return out
 
 
-def _mc_estimate(sample_fn, dim, n_samples, scale, params, rng) -> Estimate:
+def _mc_estimate(sample_fn, widths, n_samples, scale, params, rng) -> Estimate:
     """scale times the mean of sample_fn over SCRAMBLES scrambled Sobol nets.
 
-    Each scramble of ceil(n_samples / SCRAMBLES) points is generated and
-    evaluated on its own, at most _CHUNK points at a time: sample_fn(points, m)
-    draws every uniform of m rows from the PointStream ``points``, which must
-    serve exactly ``dim`` columns.  The value is the mean of the scramble
-    means and the stderr their standard deviation over sqrt(SCRAMBLES).
+    Each scramble of ceil(n_samples / SCRAMBLES) points in sum(widths)
+    dimensions is generated and evaluated on its own, at most _CHUNK points
+    at a time: the block is split into consecutive columns of the given
+    widths, and sample_fn receives one (points, width) view per width.  The
+    value is the mean of the scramble means and the stderr their standard
+    deviation over sqrt(SCRAMBLES).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples={n_samples} must be >= 1")
     m = -(-n_samples // SCRAMBLES)
+    bounds = list(itertools.accumulate(widths))
     means = np.empty(SCRAMBLES)
     for r in range(SCRAMBLES):
-        net = ScrambledSobol(dim, m, rng)
+        net = ScrambledSobol(bounds[-1], m, rng)
         total = 0.0
         for start in range(0, m, _CHUNK):
-            count = min(_CHUNK, m - start)
-            points = net.stream(start, count)
-            total += sample_fn(points, count).sum()
-            points.finish()
+            # the previous block stays referenced until this one exists
+            points = net.stream(start, min(_CHUNK, m - start))
+            total += sample_fn(*np.split(points.T, bounds[:-1], axis=1)).sum()
         means[r] = total / m
     return Estimate(float(scale * means.mean()),
                     float(scale * means.std(ddof=1) / math.sqrt(SCRAMBLES)),
                     SCRAMBLES * m, dict(params, method="rqmc", scrambles=SCRAMBLES))
 
 
-def _kanter_columns(j, alpha):
-    # uniforms increments_batch draws per row: (u, e) for each of j increments
-    return 2 * j if alpha < 2.0 else 0
+def _increments(alpha, simplex, kanter):
+    # the increments at lam uniform on I_j, from j simplex columns and the
+    # Kanter columns: pi U and -log U for each of the j increments below
+    # alpha = 2, none at alpha = 2.  -log(1 - U) is the exponential in law;
+    # 1 - U is the same net under a digital shift by all ones, so -log U
+    # keeps every property and costs a fifth of log1p.
+    lam = _sorted_simplex(simplex)
+    j = lam.shape[1]
+    return increments_batch(alpha, lam, np.pi * kanter[:, :j], -np.log(kanter[:, j:]))
 
 
 def mc_constant_K(
@@ -203,9 +215,8 @@ def mc_constant_K(
     j = 3 if which == "K3" else 2
     vol = 1.0 / math.factorial(j)
 
-    def sample_fn(points, m):
-        lam = _sorted_simplex(points, m, j)
-        heads, incs, totals = increments_batch(alpha, lam, points)
+    def sample_fn(simplex, kanter):
+        heads, incs, totals = _increments(alpha, simplex, kanter)
         if which == "K1":
             return incs[:, 0] * heads / totals ** (1.0 + d / 2.0)
         if which == "K2":
@@ -213,8 +224,9 @@ def mc_constant_K(
         pair = heads * incs[:, 0] + heads * incs[:, 1] + incs[:, 0] * incs[:, 1]
         return pair / totals ** (1.0 + d / 2.0)
 
-    dim = j + _kanter_columns(j, alpha)
-    return _mc_estimate(sample_fn, dim, n_samples, vol,
+    # j simplex columns, then (U, E) for each of j increments below alpha = 2
+    widths = (j, 2 * j if alpha < 2.0 else 0)
+    return _mc_estimate(sample_fn, widths, n_samples, vol,
                         {"which": which, "d": d, "alpha": alpha}, rng)
 
 
@@ -246,7 +258,7 @@ def _scaled_constant(which, d, alpha, n_samples, rng, factor):
         k = deterministic_constant_K(which, d, alpha)
         return Estimate(
             value=factor * k, stderr=0.0, n_samples=0,
-            params={"which": which, "d": d, "alpha": alpha, "path": "closed_form"},
+            params={"which": which, "d": d, "alpha": alpha, "method": "closed_form"},
         )
     est = mc_constant_K(which, d, alpha, n_samples, rng)
     return Estimate(
@@ -310,7 +322,7 @@ def mc_coefficient_Cnj(
     if V.proposal_mass == 0.0:
         # nothing to sample: every C_{n,j} of the zero potential is exactly 0
         return Estimate(0.0, 0.0, 0, params={"n": n, "j": j, "d": d, "alpha": alpha,
-                                              "path": "zero_potential"})
+                                              "method": "zero_potential"})
     pref = c_d_alpha(d, alpha) / (
         (2.0 * math.pi) ** (j * d) * math.factorial(n) * math.factorial(j)
     )
@@ -320,22 +332,20 @@ def mc_coefficient_Cnj(
         ljn = _lj_batch(heads, incs, totals, th) ** n if n > 0 else 1.0
         return totals ** (-d / 2.0) * ljn * w
 
-    def sample_fn(points, m):
+    def sample_fn(simplex, kanter, theta):
         # every draw of the chunk first; then the integrand one cache-sized
         # row block at a time
-        lam = _sorted_simplex(points, m, j)
-        heads, incs, totals = increments_batch(alpha, lam, points)
-        th = V.proposal_sample(points, (m, j - 1))
-        f = np.empty(m)
-        for b in _row_blocks(m):
+        heads, incs, totals = _increments(alpha, simplex, kanter)
+        th = V.proposal_sample(theta, j - 1)
+        f = np.empty(th.shape[0])
+        for b in _row_blocks(th.shape[0]):
             f[b] = integrand(heads[b], incs[b], totals[b], th[b])
         return f
 
-    # proposal_sample draws d normals per theta, and a component when there
-    # are several
-    theta_columns = (j - 1) * (d + (len(V.c) > 1))
-    dim = j + _kanter_columns(j, alpha) + theta_columns
-    return _mc_estimate(sample_fn, dim, n_samples, pref,
+    # j simplex columns, (U, E) for each of j increments below alpha = 2,
+    # and per theta d normals and, when there are several components, a pick
+    widths = (j, 2 * j if alpha < 2.0 else 0, (j - 1) * (d + (len(V.c) > 1)))
+    return _mc_estimate(sample_fn, widths, n_samples, pref,
                         {"n": n, "j": j, "d": d, "alpha": alpha}, rng)
 
 

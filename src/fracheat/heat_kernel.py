@@ -71,11 +71,16 @@ def kernel_at_zero(d: int, alpha: float) -> float:
 _REL_TOL = 1e-9
 #: The radial integral is truncated where exp(-t r^alpha) falls below this.
 _TINY = 1e-18
+#: QUADPACK takes its subdivision limit as a C int.
+_MAX_SUBDIVISIONS = 2**31 - 1
 
 
 def _radius_cut(t: float, alpha: float) -> float:
-    # truncation radius with exp(-t R^alpha) < _TINY
-    return (-math.log(_TINY) / t) ** (1.0 / alpha)
+    # truncation radius with exp(-t R^alpha) < _TINY; inf beyond the floats
+    try:
+        return (-math.log(_TINY) / t) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
 
 
 def kernel_value(d: int, alpha: float, t: float, x) -> float:
@@ -85,7 +90,9 @@ def kernel_value(d: int, alpha: float, t: float, x) -> float:
     radial reduction
     p_t(x) = (2 pi)^{-d/2} |x|^{1-d/2} int_0^inf J_{d/2-1}(r|x|) r^{d/2} e^{-t r^alpha} dr
     truncated where the exponential factor is below 1e-18.  Satisfies the
-    scaling p_t(x) = t^{-d/alpha} p_1(t^{-1/alpha} x).
+    scaling p_t(x) = t^{-d/alpha} p_1(t^{-1/alpha} x).  A d >= 2 integral
+    whose oscillations need more subdivisions than QUADPACK can take (small
+    alpha and t) is refused with a ValueError.
     """
     if t <= 0.0:
         raise ValueError("t must be > 0")
@@ -121,9 +128,15 @@ def kernel_value(d: int, alpha: float, t: float, x) -> float:
             return special.jv(nu, u * r) * u ** (d / 2.0) * math.exp(-t * u**alpha)
 
         # subdivision hint roughly one panel per Bessel oscillation
-        limit = 200 + int(cut * r / math.pi)
+        oscillations = cut * r / math.pi
+        if 200 + oscillations > _MAX_SUBDIVISIONS:
+            raise ValueError(
+                f"kernel quadrature at d={d}, alpha={alpha}, t={t}, |x|={r} needs about "
+                f"{200 + oscillations:.3g} subdivisions, more than QUADPACK's "
+                f"{_MAX_SUBDIVISIONS}"
+            )
         val, err = integrate.quad(
-            f, 0.0, cut, epsabs=1e-14, epsrel=_REL_TOL, limit=limit
+            f, 0.0, cut, epsabs=1e-14, epsrel=_REL_TOL, limit=200 + int(oscillations)
         )
         out = (2.0 * math.pi) ** (-d / 2.0) * r ** (1.0 - d / 2.0) * val
     top = kernel_at_zero(d, alpha) * t ** (-d / alpha)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 __all__ = ["GaussianPotential", "GaussianMixturePotential"]
 
@@ -255,13 +255,27 @@ class GaussianMixturePotential:
                 np.multiply(w, self._fourier(p, e), out=w)
         return np.real(w) / q
 
-    def proposal_sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw theta in R^d from the envelope proposal; shape (*size, d)."""
-        size = (size,) if isinstance(size, int) else tuple(size)
-        weights = np.abs(self.c) / np.abs(self.c).sum()
-        comp = rng.choice(len(self.c), size=size, p=weights)
+    def proposal_sample(self, u: np.ndarray, k: int) -> np.ndarray:
+        """k thetas in R^d per row from the envelope proposal; shape (n, k, d).
+
+        Inverse transforms of the uniforms ``u`` of shape (n, k d) for one
+        component and (n, k + k d) for several: the first k columns pick
+        each theta's component by its weight |c_i| / sum |c|, the other k d
+        columns are the normals (theta by theta, coordinate by coordinate)
+        that component i scales by sqrt(2) / s_i.
+        """
+        n = u.shape[0]
+        picks = k if len(self.c) > 1 else 0
+        if u.shape != (n, picks + k * self.d):
+            raise ValueError(f"{k} thetas in d={self.d} from {len(self.c)} component(s) "
+                             f"take {picks + k * self.d} columns, got {u.shape[1:]}")
+        if picks:
+            cdf = np.cumsum(np.abs(self.c) / np.abs(self.c).sum())
+            comp = np.minimum(np.searchsorted(cdf, u[:, :k], side="right"), len(self.c) - 1)
+        else:
+            comp = np.zeros((n, k), dtype=np.intp)
         sigma = np.sqrt(2.0) / self.s[comp]
-        return rng.normal(0.0, 1.0, size + (self.d,)) * sigma[..., None]
+        return special.ndtri(u[:, picks:]).reshape(n, k, self.d) * sigma[..., None]
 
 
 class GaussianPotential(GaussianMixturePotential):

@@ -13,19 +13,16 @@ the mean over independent scrambles is an unbiased estimate whose spread
 gives its standard error.
 
 Point ``k`` on the grid is returned as the float ``(k + 1/2) 2^-52``, so
-no inverse transform ever sees 0 or 1.  :class:`PointStream` serves the
-coordinates of a block of points to samplers written against a
-``Generator``, one coordinate (column) per uniform they draw.
+no inverse transform ever sees 0 or 1.  The samplers take the coordinates
+of a block of points as explicit uniform columns, one per uniform they
+transform.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy import special
 
-__all__ = ["MAX_DIM", "ScrambledSobol", "PointStream"]
+__all__ = ["MAX_DIM", "ScrambledSobol"]
 
 #: Dimensions with embedded direction numbers.
 MAX_DIM = 32
@@ -112,67 +109,12 @@ class ScrambledSobol:
         self._v = (parity.astype(np.uint64) << np.arange(_BITS, dtype=np.uint64)).sum(axis=2)
         self._shift = rng.integers(0, 1 << _BITS, (dim, 1), dtype=np.uint64)
 
-    def stream(self, start: int, count: int) -> "PointStream":
-        """The uniforms of points start..start+count-1, as a :class:`PointStream`."""
+    def stream(self, start: int, count: int) -> np.ndarray:
+        """The uniforms of points start..start+count-1, shape (dim, count)."""
         if not 0 <= start < start + count <= self.n_points:
             raise ValueError(f"points {start}..{start + count} outside 0..{self.n_points}")
         # with the exponent bits of 1.0 xored in, integer k reads as the
         # float 1 + k 2^-52, and subtracting 1 - 2^-53 is exact
         u = _gray_points(self._v, start, count, self._shift | _ONE).view(np.float64)
         u -= 1.0 - 2.0 ** -(_BITS + 1)
-        return PointStream(u)
-
-
-class PointStream:
-    """Columns of a (dim, rows) array of uniforms, served in order as random draws.
-
-    Stands in for a ``numpy.random.Generator`` in samplers that call
-    ``uniform``, ``standard_exponential``, ``normal`` and ``choice`` with a
-    leading ``size`` equal to ``rows``: each call takes the next
-    ``prod(size[1:])`` columns through the inverse transform of its law.
-    Asking for more columns than the array holds raises, and so does
-    :meth:`finish` while columns remain, because a reused or skipped column
-    would silently correlate two inputs or waste a dimension.
-    """
-
-    def __init__(self, u: np.ndarray):
-        self._u = u
-        self._next = 0
-
-    @property
-    def rows(self) -> int:
-        return self._u.shape[1]
-
-    def _take(self, size) -> np.ndarray:
-        size = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-        if size[0] != self.rows:
-            raise ValueError(f"draw of {size[0]} rows from a stream of {self.rows}")
-        k = math.prod(size[1:])
-        if self._next + k > self._u.shape[0]:
-            raise RuntimeError(f"draw of {k} columns beyond the {self._u.shape[0]} declared")
-        cols = self._u[self._next : self._next + k]
-        self._next += k
-        return cols.T.reshape(size)
-
-    def finish(self) -> None:
-        """Raise unless every declared column was drawn."""
-        if self._next != self._u.shape[0]:
-            raise RuntimeError(f"{self._u.shape[0] - self._next} declared columns left unused")
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return low + (high - low) * self._take(size)
-
-    def standard_exponential(self, size=None) -> np.ndarray:
-        # -log(1 - U) in law; 1 - U is the same net under a digital shift by
-        # all ones, so -log U keeps every property and costs a fifth of log1p
-        return -np.log(self._take(size))
-
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return loc + scale * special.ndtri(self._take(size))
-
-    def choice(self, a: int, size=None, p=None) -> np.ndarray:
-        # one component is certain and consumes no column
-        if a == 1:
-            return np.zeros(size, dtype=np.intp)
-        cdf = np.cumsum(p)
-        return np.minimum(np.searchsorted(cdf, self._take(size), side="right"), a - 1)
+        return u

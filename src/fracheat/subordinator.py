@@ -10,7 +10,9 @@ exponential tilting/rejection) and the mixed subordinator with exponent
 ``lam**(alpha/2) + a*lam**(beta/2)`` (sampled as an independent sum).
 
 All samplers take an explicit ``numpy.random.Generator``; identical seeds
-give identical sample sequences.
+give identical sample sequences.  :func:`increments_batch` takes Kanter's
+inputs instead, so that its callers can supply them from any source of
+uniforms.
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ def _kanter_log(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _kanter_unit(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     # S_1 = exp(_kanter_log(rho, u, e)) elementwise, evaluated about _BLOCK
     # values at a time in blocks of rows; row blocks are views in any memory
-    # layout, where flattening would copy the column-major draws of a
-    # PointStream
+    # layout, where flattening would copy the column-major columns of a
+    # scrambled Sobol block
     out = np.empty(u.shape)
     for b in _row_blocks(u.shape[0], math.prod(u.shape[1:])):
         out[b] = np.exp(_kanter_log(rho, u[b], e[b]))
@@ -225,24 +227,35 @@ def _check_lambda(lam: np.ndarray) -> np.ndarray:
 def sample_increments(alpha: float, lam, rng: np.random.Generator):
     """Sample the independent increments attached to one ordered simplex point.
 
-    The n = 1 case of :func:`increments_batch`: returns ``(head, incs, total)``
-    with head distributed as S_{1-(lam_1-lam_j)}, ``incs[k]`` as
-    S_{lam_k-lam_{k+1}}, all mutually independent, and
-    ``total = head + sum(incs)`` a sample of S_1 by construction.
+    The n = 1 case of :func:`increments_batch`, with Kanter's inputs drawn
+    from ``rng``: returns ``(head, incs, total)`` with head distributed as
+    S_{1-(lam_1-lam_j)}, ``incs[k]`` as S_{lam_k-lam_{k+1}}, all mutually
+    independent, and ``total = head + sum(incs)`` a sample of S_1 by
+    construction.
     """
-    lam = _check_lambda(lam)
-    heads, incs, totals = increments_batch(alpha, lam[None, :], rng)
+    lam = _check_lambda(lam)[None, :]
+    shape = lam.shape if alpha < 2.0 else (1, 0)
+    u = rng.uniform(0.0, np.pi, shape)
+    e = rng.standard_exponential(shape)
+    heads, incs, totals = increments_batch(alpha, lam, u, e)
     return float(heads[0]), incs[0], float(totals[0])
 
 
-def increments_batch(alpha: float, lam: np.ndarray, rng: np.random.Generator):
+def increments_batch(alpha: float, lam: np.ndarray, u: np.ndarray, e: np.ndarray):
     """Vectorized increments for a batch of simplex points.
 
-    ``lam`` has shape (n, j), each row strictly decreasing in (0, 1).
-    Returns ``(heads, incs, totals)`` with shapes (n,), (n, j-1), (n,).
-    ``rng`` needs only ``uniform`` and ``standard_exponential``.
+    ``lam`` has shape (n, j), each row strictly decreasing in (0, 1).  ``u``
+    (uniform on (0, pi)) and ``e`` (standard exponential) are the inputs of
+    Kanter's transform, one per increment: shape (n, j) below alpha = 2 and
+    (n, 0) at alpha = 2, where the increments are deterministic.  Returns
+    ``(heads, incs, totals)`` with shapes (n,), (n, j-1), (n,).
     """
     lam = np.asarray(lam, dtype=float)
+    n, j = lam.shape
+    want = (n, j if alpha < 2.0 else 0)
+    if u.shape != want or e.shape != want:
+        raise ValueError(f"Kanter inputs of shapes {u.shape} and {e.shape}; "
+                         f"{want} at alpha={alpha} and lam of shape {lam.shape}")
     # column arithmetic: np.diff and .sum(axis=1) on a few columns spend
     # most of their time in per-row overhead; the values are the same
     gaps = lam[:, :-1] - lam[:, 1:]
@@ -251,11 +264,7 @@ def increments_batch(alpha: float, lam: np.ndarray, rng: np.random.Generator):
         heads, incs = head_times, gaps
     else:
         scale = 2.0 / alpha
-        n, jm1 = gaps.shape
-        rho = alpha / 2.0
-        u = rng.uniform(0.0, np.pi, (n, jm1 + 1))
-        e = rng.standard_exponential((n, jm1 + 1))
-        unit = _kanter_unit(rho, u, e)
+        unit = _kanter_unit(alpha / 2.0, u, e)
         heads = head_times**scale * unit[:, 0]
         incs = gaps**scale * unit[:, 1:]
     inc_sum = incs[:, 0]

@@ -185,7 +185,7 @@ def test_constants_analytic_path(tmp_path):
     ) == 0
     payload = _read_result(tmp_path)
     assert payload["value"] == pytest.approx(1.0 / 12.0, abs=1e-10)
-    assert payload["path"] == "closed_form"
+    assert payload["method"] == "closed_form" and "path" not in payload
 
 
 #: the RQMC estimators evaluate 1000 points rounded up to whole scrambles;
@@ -219,9 +219,10 @@ def test_coeff_zero_potential_records_no_sampling(tmp_path):
                     "gaussian:c=0,s=1", "--samples", "1000", "--seed", "0"], tmp_path) == 0
     payload = _read_result(tmp_path)
     assert payload["value"] == 0.0 and payload["n_samples"] == 0
-    assert "method" not in payload and "scrambles" not in payload
+    assert payload["method"] == "zero_potential" and "scrambles" not in payload
     (d,) = [p for p in tmp_path.iterdir() if p.is_dir()]
-    assert json.loads((d / "manifest.json").read_text())["sampling"] == {"n_samples": 0}
+    assert json.loads((d / "manifest.json").read_text())["sampling"] == {
+        "method": "zero_potential", "n_samples": 0}
 
 
 def test_constants_analytic_requires_alpha2(tmp_path):
@@ -358,6 +359,40 @@ def test_failed_run_leaves_no_directory(tmp_path):
 def test_sample_family_parameters(tmp_path, capsys, args, flag):
     assert run_cli(["sample"] + args + ["--n", "10"], tmp_path) == 4
     assert capsys.readouterr().err.rstrip().endswith(flag)
+
+
+def test_kernel_beyond_quadpack_exits_4_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["kernel", "--d", "2", "--alpha", "0.3", "--t", "0.01", "--x", "1",
+                     "--output", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "subdivisions" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,args,fmt", [
+    ("schedule", ["--J", "4", "--alpha", "1.0"], "xml"),
+    ("constants", ["--which", "L", "--alpha", "1.8", "--n", "100"], "csv"),
+    ("coeff", ["--n-index", "0", "--j", "2", "--alpha", "1.0", "--potential", "gaussian:c=1"],
+     "csv"),
+    ("relativistic", ["--alpha", "1.0", "--m", "1.0"], "csv"),
+    ("mixed", ["--alpha", "0.8", "--beta", "1.6", "--a", "1.0"], "csv"),
+    ("acceptance", ["--only", "03"], "csv"),
+])
+def test_unwritable_format_refused_before_running(tmp_path, capsys, experiment, args, fmt):
+    # by argv and by INI: exit 2 with the format named, and nothing written
+    out = tmp_path / "out"
+    assert cli.main([experiment] + args + ["--format", fmt, "--output", str(out)]) == 2
+    assert fmt in capsys.readouterr().err
+    keys = [a[2:].replace("-", "_").lower() for a in args[::2]]
+    body = "".join(f"{k} = {v}\n" for k, v in zip(keys, args[1::2]))
+    ini = _ini(tmp_path, f"[{experiment}]\n{body}format = {fmt}\noutput = {out}\n")
+    assert cli.main(["run", "--config", ini]) == 2
+    assert fmt in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match=fmt):
+        cli.RunConfig(experiment, dict(zip(keys, args[1::2])), fmt=fmt)
 
 
 def test_every_experiment_has_one_parameter_table():

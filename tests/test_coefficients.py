@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fracheat import coefficients as coeff
+from fracheat import sobol
 from fracheat import subordinator as sub
 from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
@@ -59,7 +61,8 @@ def test_lj_forms_agree_and_bounds(j, d):
     # the expanded form against the compact form, on 2500 cases drawn as one batch
     r = rng(j * 10 + d)
     lam = np.sort(r.uniform(0.001, 0.999, (2500, j)), axis=1)[:, ::-1]
-    heads, incs, totals = sub.increments_batch(1.2, lam, r)
+    heads, incs, totals = sub.increments_batch(
+        1.2, lam, r.uniform(0.0, np.pi, lam.shape), r.standard_exponential(lam.shape))
     th = r.normal(size=(2500, j - 1, d))
     expanded = coeff._lj_batch(heads, incs, totals, th)
     compact = np.array([_lj_compact_exact(*case) for case in zip(heads, incs, th)])
@@ -157,7 +160,7 @@ def test_constant_reproducibility():
 
 @pytest.mark.parametrize("j", [2, 3, 4])
 def test_sorted_simplex_equals_sort(j):
-    got = coeff._sorted_simplex(rng(5), 10_001, j)
+    got = coeff._sorted_simplex(rng(5).uniform(0.0, 1.0, (10_001, j)))
     want = np.sort(rng(5).uniform(0.0, 1.0, (10_001, j)), axis=1)[:, ::-1]
     assert np.array_equal(got, want)
 
@@ -363,7 +366,7 @@ def test_cnj_zero_potential():
     v = GaussianPotential(0.0, 1.0)
     est = coeff.mc_coefficient_Cnj(v, 0, 2, 1, 1.0, 10**4, rng(20))
     assert (est.value, est.stderr, est.n_samples) == (0.0, 0.0, 0)
-    assert est.params["path"] == "zero_potential" and "method" not in est.params
+    assert est.params["method"] == "zero_potential" and "scrambles" not in est.params
 
 
 def test_cnj_validity_rejection():
@@ -483,3 +486,45 @@ def test_xi_integral_identity_j2():
     scale = coeff.c_d_alpha(1, alpha) * kernel_at_zero(1, alpha) * t ** (-1 / alpha)
     rhs, rhs_se = scale * f.mean(), scale * f.std(ddof=1) / math.sqrt(n)
     assert abs(lhs - rhs) <= 4.0 * rhs_se
+
+
+# ---------------------------------------------------------------------------
+# samplers on their own uniform columns
+
+
+def test_samplers_transform_their_columns():
+    # each sampler is the inverse transform of its columns: the simplex sorts
+    # them, Kanter's inputs are pi U and -log U, a mixture's theta picks its
+    # component by the cdf of the weights and scales the normals ndtri(U)
+    u = sobol.ScrambledSobol(14, 64, rng(2)).stream(0, 64).T
+    heads, incs, totals = coeff._increments(1.5, u[:, :2], u[:, 2:6])
+    lam = np.sort(u[:, :2], axis=1)[:, ::-1]
+    want = sub.increments_batch(1.5, lam, np.pi * u[:, 2:4], -np.log(u[:, 4:6]))
+    assert all(np.array_equal(a, b) for a, b in zip((heads, incs, totals), want))
+    v = GaussianMixturePotential([1.0, -1.0, 0.5], [1.0, 0.5, 2.0], [0.0, 0.0, 0.0])
+    th = v.proposal_sample(u[:, 6:12], 3)
+    comp = (u[:, 6:9] >= 0.4).astype(int) + (u[:, 6:9] >= 0.8)
+    assert np.array_equal(th[..., 0], special.ndtri(u[:, 9:12]) * np.sqrt(2.0) / v.s[comp])
+    g = GaussianPotential(1.0, 0.5, center=[0.0, 0.0])
+    assert np.array_equal(g.proposal_sample(u[:, 12:14], 1),
+                          (special.ndtri(u[:, 12:14]) * np.sqrt(2.0) / 0.5)[:, None, :])
+
+
+def test_samplers_refuse_a_wrong_column_count():
+    # a column declared but not consumed, or consumed but not declared,
+    # would silently correlate two inputs or waste a dimension
+    u = rng(3).random((16, 8))
+    with pytest.raises(ValueError, match="j >= 2"):
+        coeff._sorted_simplex(u[:, :1])
+    lam = coeff._sorted_simplex(u[:, :3])
+    for alpha, width in ((1.5, 2), (1.5, 4), (2.0, 3)):
+        with pytest.raises(ValueError, match="Kanter inputs"):
+            sub.increments_batch(alpha, lam, u[:, :width], u[:, 4:4 + width])
+    with pytest.raises(ValueError, match="Kanter inputs"):
+        coeff._increments(1.5, u[:, :2], u[:, 2:7])
+    v = GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [0.0, 1.0])
+    for width in (3, 5):
+        with pytest.raises(ValueError, match="take 4 columns"):
+            v.proposal_sample(u[:, :width], 2)
+    with pytest.raises(ValueError, match="take 2 columns"):
+        GaussianPotential(1.0, 1.0).proposal_sample(u[:, :4], 2)

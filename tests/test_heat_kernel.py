@@ -100,6 +100,23 @@ def test_kernel_value_rejects():
         hk.kernel_value(1, 1.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("d,alpha", [(2, 0.01), (2, 0.3), (3, 0.3)])
+def test_kernel_value_refuses_more_subdivisions_than_quadpack_takes(d, alpha):
+    # at alpha = 0.01 the truncation radius overflows a float; at alpha = 0.3
+    # the subdivision hint exceeds QUADPACK's C int.  Both are refused before
+    # any quadrature runs.
+    with pytest.raises(ValueError, match="subdivisions"):
+        hk.kernel_value(d, alpha, 0.01, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_kernel_value_nonconvergence_still_named():
+    # a hint QUADPACK takes, whose integral misses the error gate; QUADPACK's
+    # roundoff warning on the way is part of that known failure
+    with pytest.raises(RuntimeError, match="kernel quadrature did not converge"):
+        hk.kernel_value(3, 0.8, 0.1, 5.0)
+
+
 # ---------------------------------------------------------------------------
 # relativistic at-zero
 

@@ -131,7 +131,7 @@ def test_theta_weight_matches_fourier_products(k, centred, d):
     v = GaussianMixturePotential([1.0, -0.6, 0.3][:k], [1.0, 0.5, 1.4][:k], x0, d=d)
     for j in (2, 3, 4):
         for n in (1000, 1 << 14):
-            th = v.proposal_sample(r, (n, j - 1))
+            th = v.proposal_sample(r.random((n, (j - 1) * (d + (k > 1)))), j - 1)
             w = v.fourier(-th.sum(axis=1))
             for i in range(j - 1):
                 w = np.multiply(w, v.fourier(th[:, i, :]))
@@ -145,7 +145,7 @@ def test_theta_weight_does_not_depend_on_the_block_size(d):
     # factors of an off-centre j = 3 weight in the same operand order
     r = np.random.default_rng(40 + d)
     v = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], r.uniform(-1.0, 1.0, (2, d)), d=d)
-    th = v.proposal_sample(r, (1 << 14, 2))
+    th = v.proposal_sample(r.random((1 << 14, 2 * (d + 1))), 2)
     assert np.array_equal(v.theta_weight(th)[:100], v.theta_weight(th[:100]))
 
 
@@ -202,7 +202,7 @@ def test_proposal_density_normalized_and_consistent():
     assert mass == pytest.approx(1.0, abs=1e-10)
     # sampler/density consistency: E_q[phi(theta)/q(theta)] = int phi
     rng = np.random.default_rng(3)
-    th = v.proposal_sample(rng, 200_000)
+    th = v.proposal_sample(rng.random((200_000, 2)), 1)[:, 0]
     phi = np.exp(-0.5 * th[..., 0] ** 2) / math.sqrt(2 * math.pi)
     w = phi / v.proposal_density(th)
     assert abs(w.mean() - 1.0) <= 4.0 * w.std(ddof=1) / math.sqrt(len(w))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import special
 from scipy.stats import qmc
 
 from fracheat import sobol
@@ -28,7 +27,7 @@ def test_blocks_equal_the_whole_and_must_be_aligned():
 
 def test_scrambled_net_is_stratified_and_inside_unit_interval():
     n = 1 << 12
-    u = sobol.ScrambledSobol(sobol.MAX_DIM, n, rng(1)).stream(0, n)._u
+    u = sobol.ScrambledSobol(sobol.MAX_DIM, n, rng(1)).stream(0, n)
     for column in u:
         assert np.array_equal(np.sort(np.floor(column * n)), np.arange(n))
     assert u.min() > 0.0 and u.max() < 1.0
@@ -39,9 +38,9 @@ def test_scrambled_net_is_stratified_and_inside_unit_interval():
 
 
 def test_scrambles_differ_and_repeat_by_seed():
-    a = sobol.ScrambledSobol(3, 100, rng(7)).stream(0, 100)._u
-    b = sobol.ScrambledSobol(3, 100, rng(7)).stream(0, 100)._u
-    c = sobol.ScrambledSobol(3, 100, rng(8)).stream(0, 100)._u
+    a = sobol.ScrambledSobol(3, 100, rng(7)).stream(0, 100)
+    b = sobol.ScrambledSobol(3, 100, rng(7)).stream(0, 100)
+    c = sobol.ScrambledSobol(3, 100, rng(8)).stream(0, 100)
     assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
@@ -50,27 +49,3 @@ def test_dimension_limit_named():
         sobol.ScrambledSobol(sobol.MAX_DIM + 1, 16, rng())
     with pytest.raises(ValueError):
         sobol.ScrambledSobol(0, 16, rng())
-
-
-def test_stream_transforms_and_column_order():
-    u = sobol.ScrambledSobol(6, 64, rng(2)).stream(0, 64)._u
-    s = sobol.PointStream(u)
-    assert np.array_equal(s.uniform(0.0, np.pi, 64), np.pi * u[0])
-    assert np.array_equal(s.standard_exponential((64, 2)), -np.log(u[1:3].T))
-    assert np.array_equal(s.choice(1, size=(64, 1), p=[1.0]), np.zeros((64, 1), dtype=np.intp))
-    comp = s.choice(3, size=64, p=[0.2, 0.5, 0.3])
-    assert np.array_equal(comp, (u[3] >= 0.2).astype(int) + (u[3] >= 0.7))
-    assert np.array_equal(s.normal(0.0, 1.0, (64, 1, 2)), special.ndtri(u[4:6].T)[:, None, :])
-    s.finish()
-
-
-def test_stream_refuses_overdraw_and_unused_columns():
-    u = sobol.ScrambledSobol(3, 10, rng()).stream(0, 10)._u
-    s = sobol.PointStream(u)
-    s.uniform(0.0, 1.0, (10, 2))
-    with pytest.raises(RuntimeError):
-        s.finish()
-    with pytest.raises(RuntimeError):
-        s.normal(0.0, 1.0, (10, 2))
-    with pytest.raises(ValueError):
-        s.uniform(0.0, 1.0, 9)

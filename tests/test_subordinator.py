@@ -47,7 +47,8 @@ def test_kanter_blocks_match_one_shot():
     e = rng(4).standard_exponential((n, 3))
     whole = np.exp(sub._kanter_log(0.9, u, e))
     assert np.array_equal(sub._kanter_unit(0.9, u, e), whole)
-    # column-major draws, as a PointStream serves them, block by rows alike
+    # column-major columns, as a scrambled Sobol block holds them, block by
+    # rows alike
     f_u, f_e = np.asfortranarray(u), np.asfortranarray(e)
     assert np.array_equal(sub._kanter_unit(0.9, f_u, f_e), whole)
 
@@ -153,6 +154,13 @@ def test_gamma_fault_injection_hook(monkeypatch):
 # increments
 
 
+def increments(alpha, lam, r):
+    # increments_batch with Kanter's inputs drawn from r as sample_increments draws them
+    shape = lam.shape if alpha < 2.0 else (lam.shape[0], 0)
+    return sub.increments_batch(alpha, lam, r.uniform(0.0, np.pi, shape),
+                                r.standard_exponential(shape))
+
+
 def test_increments_deterministic_case():
     head, incs, total = sub.sample_increments(2.0, [0.6, 0.2], rng())
     assert head == pytest.approx(0.6, abs=1e-15)
@@ -175,10 +183,10 @@ def test_increments_column_arithmetic_matches_reductions(j):
     # gaps and totals by column arithmetic equal the np.diff and .sum(axis=1)
     # expressions they replaced, bit for bit
     lam = np.sort(rng(j).uniform(0.001, 0.999, (5000, j)), axis=1)[:, ::-1]
-    heads, incs, totals = sub.increments_batch(2.0, lam, rng())
+    heads, incs, totals = increments(2.0, lam, rng())
     assert np.array_equal(incs, -np.diff(lam, axis=1))
     assert np.array_equal(totals, heads + incs.sum(axis=1))
-    heads, incs, totals = sub.increments_batch(1.3, lam, rng(j + 10))
+    heads, incs, totals = increments(1.3, lam, rng(j + 10))
     assert np.array_equal(totals, heads + incs.sum(axis=1))
 
 
@@ -195,7 +203,7 @@ def test_increments_total_is_S1():
     # total =d= S_1, so E[total^{-1/2}] = 2/sqrt(pi) at alpha = 1
     n = 10**6
     lam = np.tile([0.6, 0.2], (n, 1))
-    _, _, totals = sub.increments_batch(1.0, lam, rng(7))
+    _, _, totals = increments(1.0, lam, rng(7))
     x = totals**-0.5
     want = 2.0 / math.sqrt(math.pi)
     assert abs(x.mean() - want) <= 3.0 * x.std(ddof=1) / math.sqrt(n)
@@ -205,7 +213,7 @@ def test_increment_marginal_law():
     # increments[0] =d= S_{0.2} at lam = (0.7, 0.5, 0.1): E e^{-S_{0.2}} = e^{-0.2}
     n = 10**6
     lam = np.tile([0.7, 0.5, 0.1], (n, 1))
-    _, incs, _ = sub.increments_batch(1.0, lam, rng(8))
+    _, incs, _ = increments(1.0, lam, rng(8))
     x = np.exp(-incs[:, 0])
     assert abs(x.mean() - math.exp(-0.2)) <= 3.0 * x.std(ddof=1) / math.sqrt(n)
 

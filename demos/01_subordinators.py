@@ -3,7 +3,8 @@
 Draws from the stable, relativistic and mixed families and checks each
 against the law that defines it: the Laplace transform exp(-t * phi(lam)),
 the moment formula Gamma(1 - 2 eta/alpha)/Gamma(1 - eta), and the explicit
-alpha = 1 density.  Run:  python demos/01_subordinators.py
+alpha = 1 density.  Every sampler takes the number of draws and returns a
+1-D array of them.  Run:  python demos/01_subordinators.py
 """
 
 import numpy as np

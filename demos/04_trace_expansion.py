@@ -47,7 +47,3 @@ for alpha in (1.0, 1.8):
 lc = coeff.constant_L(1, 1.8, 2_000_000, rng)
 print(f"  Monte Carlo prediction: -L_(1,1.8) int|grad V|^2 = "
       f"{-lc.value * v.dirichlet_energy():+.5f}")
-
-print("\n== remainder-bound diagnostic (J = 2) ==")
-for t in (0.1, 0.5, 0.9):
-    print(f"  t={t}: |r_3(t)|/p_t(0) <= {coeff.remainder_bound(v, 2, 1, t):.3e}")

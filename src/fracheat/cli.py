@@ -235,7 +235,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(experiment=name, params=params, seed=seed, output=output, fmt=fmt)
 
 
-def parse_potential(spec: str, d: int = 1):
+def parse_potential(spec: str, d: int):
     """gaussian:c=1,s=1[,x0=0.5]; components separated by ';'.
 
     Vector centers for d=2 use '|' between coordinates, e.g. x0=0.5|1.  A
@@ -282,18 +282,14 @@ def parse_potential(spec: str, d: int = 1):
 def _exp_sample(cfg, rng):
     p = cfg.params
     family = p["family"]
-    uses = sub.SubordinatorSpec.PARAMETERS.get(family, ())
-    for key in ("m", "beta", "a"):
-        if (key in p) != (key in uses):
-            verb = "does not use" if key in p else "needs"
-            raise ValueError(f"family {family} {verb} --{key}")
-    # the spec refuses an unknown family and out-of-range values
-    spec = sub.SubordinatorSpec(family, p["alpha"], **{k: p[k] for k in uses})
+    given = {k: p[k] for k in ("m", "beta", "a") if k in p}
+    # the spec refuses an unknown family, a parameter the family does not
+    # use, a missing one and out-of-range values
+    spec = sub.SubordinatorSpec(family, p["alpha"], **given)
     s = spec.sample(p["t"], rng, size=p["n"])
     rows = [(float(x),) for x in s]
     payload = {"family": family, "alpha": p["alpha"], "t": p["t"], "n": p["n"],
-               "mean": float(np.mean(s))}
-    payload.update({k: p[k] for k in uses})
+               "mean": float(np.mean(s)), **given}
     return payload, rows
 
 
@@ -442,7 +438,7 @@ def _output_root(cfg: RunConfig) -> str:
     return cfg.output or os.environ.get("FRACHEAT_OUTPUT", "runs")
 
 
-def run(cfg: RunConfig, no_cache: bool = False) -> int:
+def run(cfg: RunConfig, no_cache: bool) -> int:
     """Execute a config: write result + manifest, honoring the result cache."""
     root = _output_root(cfg)
     outdir = os.path.join(root, f"{cfg.experiment}-{cfg.hash}")

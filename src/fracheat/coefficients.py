@@ -57,7 +57,6 @@ __all__ = [
     "matrix_AJ",
     "validate_params",
     "phi_exponent",
-    "remainder_bound",
 ]
 
 #: Independent scrambles behind every randomized quasi-Monte Carlo estimate.
@@ -78,10 +77,6 @@ class ScheduleEntry:
 class ExponentSchedule:
     entries: tuple
     cutoff: float
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return np.array([e.exponent for e in self.entries])
 
 
 @dataclass(frozen=True)
@@ -429,20 +424,3 @@ def _require_order(n: int, d: int, alpha: float, what: str) -> None:
             f"M < (d+alpha)/2 violated and (d<=3, M<=2) M/2 - d/4 < alpha/2 "
             f"violated for every M >= {n} (max admissible M = {max_m})"
         )
-
-
-def remainder_bound(V, J: int, d: int, t: float) -> float:
-    """Diagnostic constant bounding |r_{J+1}(t)| / p_t^{(alpha)}(0):
-
-    (2 pi)^{(J+2)d} ||V||_inf^J exp(t ||V||_inf) ||V||_1 / (J+1)!  for t in (0,1).
-    """
-    if not (0.0 < t < 1.0):
-        raise ValueError("t must lie in (0, 1)")
-    sup = V.sup_norm
-    return (
-        (2.0 * math.pi) ** ((J + 2) * d)
-        * sup**J
-        * math.exp(t * sup)
-        * V.l1_norm
-        / math.factorial(J + 1)
-    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 __all__ = ["GaussianPotential", "GaussianMixturePotential"]
 
@@ -56,8 +56,7 @@ class GaussianMixturePotential:
     def evaluate(self, x):
         x = self._as_points(x)
         d2 = ((x[..., None, :] - self.x0) ** 2).sum(axis=-1)
-        val = (self.c * np.exp(-d2 / self.s**2)).sum(axis=-1)
-        return float(val) if val.ndim == 0 else val
+        return (self.c * np.exp(-d2 / self.s**2)).sum(axis=-1)
 
     def gradient(self, x):
         x = self._as_points(x)
@@ -69,12 +68,11 @@ class GaussianMixturePotential:
         x = self._as_points(x)
         diff = x[..., None, :] - self.x0
         r2 = (diff**2).sum(axis=-1)
-        val = (
+        return (
             self.c
             * np.exp(-r2 / self.s**2)
             * (4.0 * r2 / self.s**4 - 2.0 * self.d / self.s**2)
         ).sum(axis=-1)
-        return float(val) if val.ndim == 0 else val
 
     def _envelopes(self, xi):
         """Each component's c_i (s_i sqrt(pi))^d exp(-s_i^2 |xi|^2 / 4), xi of shape (..., d).
@@ -107,10 +105,7 @@ class GaussianMixturePotential:
     def fourier(self, xi):
         """Vhat(xi); complex in general, real when every center is zero."""
         xi = self._as_points(xi)
-        out = self._fourier(xi, self._envelopes(xi))
-        if np.ndim(out):
-            return out
-        return complex(out) if np.iscomplexobj(out) else float(out)
+        return self._fourier(xi, self._envelopes(xi))
 
     # -- exact functionals -----------------------------------------------
 
@@ -198,18 +193,6 @@ class GaussianMixturePotential:
         raise NotImplementedError("quadrature implemented for d <= 2")
 
     # -- norms -------------------------------------------------------------
-
-    @property
-    def sup_norm(self) -> float:
-        if len(self.c) == 1:
-            return float(abs(self.c[0]))
-        best = 0.0
-        for i in range(len(self.c)):
-            res = optimize.minimize(
-                lambda x: -abs(self.evaluate(x)), self.x0[i], method="Nelder-Mead"
-            )
-            best = max(best, float(-res.fun))
-        return best
 
     @property
     def l1_norm(self) -> float:

@@ -9,8 +9,9 @@ with Laplace exponent ``(lam + m**(2/alpha))**(alpha/2) - m`` (sampled by
 exponential tilting/rejection) and the mixed subordinator with exponent
 ``lam**(alpha/2) + a*lam**(beta/2)`` (sampled as an independent sum).
 
-All samplers take an explicit ``numpy.random.Generator``; identical seeds
-give identical sample sequences.  :func:`increments_batch` takes Kanter's
+All samplers take an explicit ``numpy.random.Generator`` and a sample
+count, and return a 1-D array of that many draws; identical seeds give
+identical sample sequences.  :func:`increments_batch` takes Kanter's
 inputs instead, so that its callers can supply them from any source of
 uniforms.
 """
@@ -65,14 +66,16 @@ class SubordinatorSpec:
     """A subordinator family together with its Laplace exponent phi.
 
     ``phi(0) = 0`` and phi is nondecreasing on (0, inf) for every family.
-    Construction is the one check of each family's parameters.
+    Construction is the one check of each family's parameters: ``None``
+    leaves a parameter unset, and a set parameter the family does not use
+    is refused at any value, as is an unset one it needs.
     """
 
     family: str
     alpha: float
-    m: float = 0.0
-    beta: float = 0.0
-    a: float = 0.0
+    m: float | None = None
+    beta: float | None = None
+    a: float | None = None
 
     #: family -> the parameters it takes besides alpha
     PARAMETERS = {"stable": (), "relativistic": ("m",), "mixed": ("beta", "a")}
@@ -80,10 +83,13 @@ class SubordinatorSpec:
     def __post_init__(self):
         if self.family not in self.PARAMETERS:
             raise ValueError(f"unknown family {self.family!r}")
-        unused = [k for k in ("m", "beta", "a")
-                  if getattr(self, k) != 0.0 and k not in self.PARAMETERS[self.family]]
+        uses = self.PARAMETERS[self.family]
+        unused = [k for k in ("m", "beta", "a") if getattr(self, k) is not None and k not in uses]
         if unused:
             raise ValueError(f"{self.family} family does not use {', '.join(unused)}")
+        missing = [k for k in uses if getattr(self, k) is None]
+        if missing:
+            raise ValueError(f"{self.family} family needs {', '.join(missing)}")
         if self.family == "mixed":
             if not (0.0 < self.alpha < self.beta < 2.0):
                 raise ValueError("mixed family needs 0 < alpha < beta < 2")
@@ -114,7 +120,7 @@ class SubordinatorSpec:
             return (lam + self.m ** (2.0 / self.alpha)) ** (self.alpha / 2.0) - self.m
         return lam ** (self.alpha / 2.0) + self.a * lam ** (self.beta / 2.0)
 
-    def sample(self, t: float, rng: np.random.Generator, size=None):
+    def sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.family == "stable":
             return sample_stable(self.alpha, t, rng, size=size)
         if self.family == "relativistic":
@@ -172,33 +178,30 @@ def _kanter_unit(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
+def sample_stable(alpha: float, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw samples of S_{t, alpha/2} with E[exp(-lam S_t)] = exp(-t lam^{alpha/2}).
 
     Uses self-similarity S_t =d= t^{2/alpha} S_1 and Kanter's uniform +
     exponential transform for S_1.  ``alpha = 2`` is the degenerate
-    deterministic case and returns exactly ``t``.
+    deterministic case: every draw is exactly ``t``.
 
     Parameters
     ----------
     alpha : stability parameter in (0, 2].
     t : time, > 0.
     rng : seeded numpy Generator.
-    size : None for a scalar, else an int or shape tuple.
+    size : number of draws, the length of the returned array.
     """
     _validate_alpha(alpha)
     if t <= 0.0:
         raise ValueError(f"t={t} must be > 0")
     if alpha == 2.0:
-        return float(t) if size is None else np.full(size, float(t))
-    rho = alpha / 2.0
-    scalar = size is None
-    n = 1 if scalar else size
-    u = rng.uniform(0.0, np.pi, n)
-    e = rng.standard_exponential(n)
-    s = _kanter_unit(rho, u, e)
+        return np.full(size, float(t))
+    u = rng.uniform(0.0, np.pi, size)
+    e = rng.standard_exponential(size)
+    s = _kanter_unit(alpha / 2.0, u, e)
     s *= t ** (2.0 / alpha)
-    return float(s[0]) if scalar else s
+    return s
 
 
 def stable_moment(alpha: float, eta: float) -> float:
@@ -285,11 +288,12 @@ def tail_lower_bound(alpha: float):
     return v, (1.0 - math.exp(-v)) / 2.0
 
 
-def upper_threshold(alpha: float, rng: np.random.Generator, n_samples: int = 10**6) -> float:
+def upper_threshold(alpha: float, rng: np.random.Generator, n_samples: int) -> float:
     """Empirical N_alpha with P(S_1 < N_alpha) >= (1 + exp(-v_alpha))/2.
 
     Only existence of N_alpha is guaranteed in general; this picks the
-    empirical quantile at the required level plus ``_THRESHOLD_MARGIN``.
+    empirical quantile of ``n_samples`` draws at the required level plus
+    ``_THRESHOLD_MARGIN``.
     For alpha = 1 the closed form :data:`N1_CLOSED_FORM` is available
     instead.
     """
@@ -305,7 +309,7 @@ def sample_relativistic(
     m: float,
     t: float,
     rng: np.random.Generator,
-    size=None,
+    size: int,
     return_stats: bool = False,
 ):
     """Draw samples of the relativistic subordinator S_{t,m}.
@@ -315,7 +319,8 @@ def sample_relativistic(
     exp(-m^{2/alpha} s) is exact.  The expected acceptance rate is exp(-m t);
     the call is refused when that falls below ``_MIN_ACCEPTANCE``.  Proposals
     are drawn in batches of at most ``_MAX_PROPOSALS``, each sized to fill
-    the remaining samples with a 20% margin.
+    the remaining samples with a 20% margin.  Returns ``size`` draws as a
+    1-D array.
 
     With ``return_stats=True`` also returns the total numbers of proposals
     and of accepted proposals (the retained samples are the first ``size``
@@ -330,36 +335,34 @@ def sample_relativistic(
             f"expected acceptance rate exp(-m t)={expected_rate:.3e} below "
             f"floor {_MIN_ACCEPTANCE:.1e}; m*t too large for rejection sampling"
         )
-    scalar = size is None
-    n = 1 if scalar else int(np.prod(size))
     tilt = m ** (2.0 / alpha)
-    out = np.empty(n)
+    out = np.empty(size)
     filled = 0
     proposals = 0
     accepted = 0
-    while filled < n:
-        batch = min(_MAX_PROPOSALS, max(1024, int(1.2 * (n - filled) / expected_rate)))
+    while filled < size:
+        batch = min(_MAX_PROPOSALS, max(1024, int(1.2 * (size - filled) / expected_rate)))
         s = sample_stable(alpha, t, rng, size=batch)
         keep = rng.uniform(0.0, 1.0, batch) < np.exp(-tilt * s)
         kept = s[keep]
         proposals += batch
         accepted += kept.size
-        take = min(kept.size, n - filled)
+        take = min(kept.size, size - filled)
         out[filled : filled + take] = kept[:take]
         filled += take
-    out = out.reshape(size) if not scalar else float(out[0])
     if return_stats:
         return out, proposals, accepted
     return out
 
 
 def sample_mixed(
-    alpha: float, beta: float, a: float, t: float, rng: np.random.Generator, size=None
-):
+    alpha: float, beta: float, a: float, t: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
     """Draw samples of the mixed subordinator S_{t,a} = S_{t,alpha/2} + a^{2/beta} S_{t,beta/2}.
 
     The two summands are independent; the Laplace transform is
-    exp(-t (lam^{alpha/2} + a lam^{beta/2})).
+    exp(-t (lam^{alpha/2} + a lam^{beta/2})).  Returns ``size`` draws as a
+    1-D array.
     """
     SubordinatorSpec("mixed", alpha, beta=beta, a=a)  # checks alpha, beta, a; t below
     s_a = sample_stable(alpha, t, rng, size=size)
@@ -376,5 +379,4 @@ def density_half(t, s):
     s = np.asarray(s, dtype=float)
     if np.any(t <= 0) or np.any(s <= 0):
         raise ValueError("need t > 0 and s > 0")
-    val = t / (2.0 * np.sqrt(np.pi)) * s**-1.5 * np.exp(-(t**2) / (4.0 * s))
-    return float(val) if val.ndim == 0 else val
+    return t / (2.0 * np.sqrt(np.pi)) * s**-1.5 * np.exp(-(t**2) / (4.0 * s))

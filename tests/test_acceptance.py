@@ -64,6 +64,16 @@ def test_corrupted_gamma_fails_loudly(monkeypatch):
     assert not result.passed
 
 
+def test_suite_replays_the_criterion_draws():
+    # criterion i of the suite draws from SeedSequence([seed, i]), as
+    # test_criterion does, so a suite run at SEED repeats those draws
+    fn = acceptance.criterion_10_tail_bound
+    (suite,) = acceptance.acceptance_suite(seed=SEED, criteria=["10"])
+    direct = fn(np.random.SeedSequence([SEED, acceptance.CRITERIA.index(fn)]))
+    assert (suite.passed, suite.detail, suite.checks) == (direct.passed, direct.detail,
+                                                          direct.checks)
+
+
 def test_suite_filter_and_report():
     results = acceptance.acceptance_suite(seed=SEED, criteria=["12"])
     assert len(results) == 1

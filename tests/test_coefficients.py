@@ -378,7 +378,7 @@ def test_cnj_validity_rejection():
 
 
 # ---------------------------------------------------------------------------
-# schedules, validity, remainder
+# schedules and validity
 
 
 def test_phi_exponent():
@@ -389,7 +389,7 @@ def test_phi_exponent():
 def test_schedule_alpha1_example():
     sched = coeff.exponent_schedule(5, 2, 1.0, 1)
     assert sched.cutoff == 6.0
-    assert np.allclose(sched.exponents, [1, 2, 3, 4, 4, 5, 5])
+    assert np.allclose([e.exponent for e in sched.entries], [1, 2, 3, 4, 4, 5, 5])
     for e in sched.entries:
         assert e.exponent == pytest.approx(2.0 * e.n / 1.0 + e.j)
         assert e.sign == (-1) ** (e.n + e.j)
@@ -438,18 +438,6 @@ def test_validate_params():
     assert coeff.validate_params(1, 0.4, 1).max_M == 0
     with pytest.raises(ValueError):
         coeff.validate_params(1, 2.0, 1)
-
-
-def test_remainder_bound():
-    v0 = GaussianPotential(0.0, 1.0)
-    assert coeff.remainder_bound(v0, 2, 1, 0.5) == 0.0
-    v = GaussianPotential(1.0, 1.0)
-    vals = [coeff.remainder_bound(v, 2, 1, t) for t in (0.1, 0.4, 0.8)]
-    assert vals[0] < vals[1] < vals[2]
-    want = (2 * math.pi) ** 4 * math.exp(0.5) * math.sqrt(math.pi) / 6.0
-    assert coeff.remainder_bound(v, 2, 1, 0.5) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        coeff.remainder_bound(v, 2, 1, 1.5)
 
 
 def test_c_d_alpha_at_two():

@@ -54,17 +54,17 @@ def test_kanter_blocks_match_one_shot():
 
 
 def test_alpha2_is_deterministic():
-    assert sub.sample_stable(2.0, 0.7, rng()) == 0.7
+    assert sub.sample_stable(2.0, 0.7, rng(), size=1).tolist() == [0.7]
     assert np.all(sub.sample_stable(2.0, 0.7, rng(), size=5) == 0.7)
 
 
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        sub.sample_stable(2.5, 1.0, rng())
+        sub.sample_stable(2.5, 1.0, rng(), size=1)
     with pytest.raises(ValueError):
-        sub.sample_stable(0.0, 1.0, rng())
+        sub.sample_stable(0.0, 1.0, rng(), size=1)
     with pytest.raises(ValueError):
-        sub.sample_stable(1.0, -1.0, rng())
+        sub.sample_stable(1.0, -1.0, rng(), size=1)
 
 
 def test_levy_half_density_ks():
@@ -300,7 +300,7 @@ def test_relativistic_rate_floor():
     with pytest.raises(RuntimeError):
         sub.sample_relativistic(1.0, 100.0, 1.0, rng(), size=10)
     with pytest.raises(ValueError):
-        sub.sample_relativistic(1.0, -1.0, 1.0, rng())
+        sub.sample_relativistic(1.0, -1.0, 1.0, rng(), size=1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +338,9 @@ def test_mixed_moment_bound():
 
 def test_mixed_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        sub.sample_mixed(1.6, 0.8, 1.0, 1.0, rng())
+        sub.sample_mixed(1.6, 0.8, 1.0, 1.0, rng(), size=1)
     with pytest.raises(ValueError):
-        sub.sample_mixed(0.8, 1.6, -1.0, 1.0, rng())
+        sub.sample_mixed(0.8, 1.6, -1.0, 1.0, rng(), size=1)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +380,22 @@ REFUSALS = {
     "spec-stable-alpha": (lambda: sub.SubordinatorSpec("stable", 5.0), "alpha"),
     "spec-relativistic-alpha2": (lambda: sub.SubordinatorSpec("relativistic", 2.0, m=1.0),
                                   "alpha"),
-    "spec-relativistic-m": (lambda: sub.SubordinatorSpec("relativistic", 1.0), "mass m"),
+    "spec-relativistic-m": (lambda: sub.SubordinatorSpec("relativistic", 1.0), "needs m"),
     "spec-mixed-beta": (lambda: sub.SubordinatorSpec("mixed", 1.6, beta=0.8, a=1.0), "beta"),
-    "spec-mixed-a": (lambda: sub.SubordinatorSpec("mixed", 0.8, beta=1.6), "weight a"),
+    "spec-mixed-a": (lambda: sub.SubordinatorSpec("mixed", 0.8, beta=1.6), "needs a"),
+    "spec-mixed-beta-a": (lambda: sub.SubordinatorSpec("mixed", 0.8), "needs beta, a"),
     "spec-unknown-family": (lambda: sub.SubordinatorSpec("lorentz", 1.0), "unknown family"),
     "spec-stable-unused": (lambda: sub.SubordinatorSpec("stable", 1.5, m=3.0, a=2.0),
                            "does not use m, a"),
     "spec-relativistic-unused": (
         lambda: sub.SubordinatorSpec("relativistic", 1.0, m=1.0, beta=0.5), "does not use beta"),
     "spec-mixed-unused": (lambda: sub.SubordinatorSpec("mixed", 0.8, m=1.0, beta=1.6, a=1.0),
+                          "does not use m"),
+    # a given parameter is refused at any value, 0.0 included
+    "spec-stable-m-zero": (lambda: sub.SubordinatorSpec("stable", 1.5, m=0.0), "does not use m"),
+    "spec-relativistic-a-zero": (
+        lambda: sub.SubordinatorSpec("relativistic", 1.0, m=1.0, a=0.0), "does not use a"),
+    "spec-mixed-m-zero": (lambda: sub.SubordinatorSpec("mixed", 0.8, m=0.0, beta=1.6, a=1.0),
                           "does not use m"),
     "relativistic-kernel-m-zero": (
         lambda: hk.relativistic_kernel_at_zero(1, 1.0, 0.0, 0.5, 1000, rng()), "mass m"),

@@ -238,8 +238,8 @@ def test_spectrum_bounds_and_reality():
     free = oracle.free_multipliers(grid, 1.2)
     spec = oracle._spectrum(grid, 1.2, WELL)
     assert np.isrealobj(spec)
-    assert spec.min() >= free.min() - WELL.sup_norm - 1e-10
-    assert spec.max() <= free.max() + WELL.sup_norm + 1e-10
+    assert spec.min() >= free.min() - abs(WELL.c[0]) - 1e-10
+    assert spec.max() <= free.max() + abs(WELL.c[0]) + 1e-10
 
 
 def test_zero_potential_curve_vanishes():

@@ -89,7 +89,9 @@ def kernel_value(d: int, alpha: float, t: float, x) -> float:
     d = 1 uses the cosine-weighted infinite-range rule; d >= 2 the Bessel
     radial reduction
     p_t(x) = (2 pi)^{-d/2} |x|^{1-d/2} int_0^inf J_{d/2-1}(r|x|) r^{d/2} e^{-t r^alpha} dr
-    truncated where the exponential factor is below 1e-18.  Satisfies the
+    truncated where the exponential factor is below 1e-18.  Its integrand
+    takes J from scipy.special.cython_special, the scalar entry point of the
+    scipy.special.jv ufunc's routine, with the same values.  Satisfies the
     scaling p_t(x) = t^{-d/alpha} p_1(t^{-1/alpha} x).  A d >= 2 integral
     whose oscillations need more subdivisions than QUADPACK can take (small
     alpha and t) is refused with a ValueError.
@@ -121,11 +123,16 @@ def kernel_value(d: int, alpha: float, t: float, x) -> float:
         val, err = v1 + v2, e1 + e2
         out = val / math.pi
     else:
-        nu = d / 2.0 - 1.0
+        # the scalar C entry point of the ufunc's AMOS routine (same bits, a
+        # third of the per-call cost); imported here, so that only d >= 2
+        # kernels pay its memory
+        from scipy.special.cython_special import jv
+
+        nu, half, exp = d / 2.0 - 1.0, d / 2.0, math.exp
         cut = _radius_cut(t, alpha)
 
         def f(u):
-            return special.jv(nu, u * r) * u ** (d / 2.0) * math.exp(-t * u**alpha)
+            return jv(nu, u * r) * u ** half * exp(-t * u**alpha)
 
         # subdivision hint roughly one panel per Bessel oscillation
         oscillations = cut * r / math.pi

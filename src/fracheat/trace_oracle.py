@@ -212,10 +212,13 @@ def _swap_blocks(S, diag):
     the pairs a = b, and the swap-odd block is S[P, Q] - S[P, Q'] on a < b,
     p < q.  Returns each block with its free multipliers diag[a, b].
     """
+    n = diag.shape[0]
+    flat = S.reshape(n * n, n * n)  # S[P, Q] with P = a n + b, Q = p n + q
     blocks = []
     for strict, combine in ((0, np.add), (1, np.subtract)):
-        a, b = np.triu_indices(diag.shape[0], strict)  # a <= b, then a < b
-        B = combine(S[a[:, None], b[:, None], a, b], S[a[:, None], b[:, None], b, a])
+        a, b = np.triu_indices(n, strict)  # a <= b, then a < b
+        pairs, swapped = a * n + b, b * n + a
+        B = combine(flat[pairs[:, None], pairs], flat[pairs[:, None], swapped])
         if not strict:
             w = np.where(a == b, math.sqrt(0.5), 1.0)
             B *= w[:, None]

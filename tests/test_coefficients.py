@@ -255,18 +255,23 @@ def test_point_dimension_limit_named():
 
 
 def test_estimators_do_not_import_scipy_stats():
-    # scipy.stats costs about 0.3 s to import; the estimators must not need it
+    # scipy.stats costs about 0.3 s to import; the estimators and the oracle
+    # must not need it, nor the Bessel module only d >= 2 kernels use
     code = ("import sys, numpy as np, fracheat\n"
             "from fracheat import coefficients as c, heat_kernel as h, potential as p\n"
+            "from fracheat import trace_oracle as o\n"
             "r = np.random.default_rng(0)\n"
             "c.mc_coefficient_Cnj(p.GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, 4096, r)\n"
             "h.relativistic_kernel_at_zero(1, 1.0, 1.0, 0.5, 4096, r)\n"
             "h.mixed_kernel_at_zero(2, 0.8, 1.6, 1.0, 0.1, 4096, r)\n"
-            "print('scipy.stats' in sys.modules)")
+            "o.trace_difference_curve(p.GaussianPotential(1.0, 1.0, d=2), 1.3,\n"
+            "                         o.SpectralGrid(2, 10.0, 16), [0.01, 0.1])\n"
+            "print([m for m in ('scipy.stats', 'scipy.special.cython_special')\n"
+            "       if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def _exact_l_dirichlet(alpha):

@@ -1,9 +1,11 @@
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fracheat import heat_kernel as hk
 from fracheat import subordinator as sub
@@ -113,8 +115,44 @@ def test_kernel_value_refuses_more_subdivisions_than_quadpack_takes(d, alpha):
 def test_kernel_value_nonconvergence_still_named():
     # a hint QUADPACK takes, whose integral misses the error gate; QUADPACK's
     # roundoff warning on the way is part of that known failure
-    with pytest.raises(RuntimeError, match="kernel quadrature did not converge"):
+    # the whole message, so that no change of the integrand moves it unseen
+    with pytest.raises(RuntimeError, match="^" + re.escape(
+            "kernel quadrature did not converge: value=1.749e-05, err=1.8e-12, "
+            "at-zero bound 1.575e+03") + "$"):
         hk.kernel_value(3, 0.8, 0.1, 5.0)
+
+
+def _ufunc_kernel_quadrature(d, alpha, t, r):
+    """kernel_value's d >= 2 quadrature with the scipy.special.jv ufunc integrand.
+
+    Returns (value, error estimate) before kernel_value's convergence gate.
+    """
+    cut = hk._radius_cut(t, alpha)
+
+    def f(u):
+        return special.jv(d / 2.0 - 1.0, u * r) * u ** (d / 2.0) * math.exp(-t * u**alpha)
+
+    val, err = integrate.quad(f, 0.0, cut, epsabs=1e-14, epsrel=hk._REL_TOL,
+                              limit=200 + int(cut * r / math.pi))
+    return (2.0 * math.pi) ** (-d / 2.0) * r ** (1.0 - d / 2.0) * val, err
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_kernel_value_bessel_integrand_matches_ufunc_reference():
+    # the scalar Bessel call must give QUADPACK the ufunc's values bit for
+    # bit, so every value and every refusal stays the same
+    refused = []
+    for point in itertools.product((2, 3), (0.8, 1.2, 1.5, 1.9), (0.1, 0.5),
+                                   (0.5, 1.0, 2.0, 5.0)):
+        want, err = _ufunc_kernel_quadrature(*point)
+        try:
+            got = hk.kernel_value(*point)
+        except RuntimeError as e:
+            assert f"value={want:.3e}, err={err:.1e}," in str(e), point
+            refused.append(point)
+        else:
+            assert got == want, point
+    assert refused == [(3, 0.8, 0.1, 5.0)]
 
 
 # ---------------------------------------------------------------------------

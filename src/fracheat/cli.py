@@ -5,10 +5,12 @@ of the package source, and executes through
 the same runner: results land in a content-addressed directory under the
 output root (flag --output, else $FRACHEAT_OUTPUT, else ./runs) together
 with a manifest recording the config hash, every effective parameter, the
-seed, package versions and wall time.  Identical config + seed reproduces
+seed, library versions and wall time.  The hash also covers the versions
+of fracheat, numpy, scipy and python (:data:`VERSIONS`), so no result is
+served across a library change.  Identical config + seed reproduces
 bit-identical JSON numeric fields; a repeated run is served from the cache
-unless --no-cache is given, and a hash collision with a differing stored
-config is a hard error.
+(delete its directory to recompute), and a hash collision with a differing
+stored config is a hard error.
 
 Config files are flat INI: one section named after the experiment, plain
 key = value pairs, no nesting.  Argv and INI parameters are resolved through
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import functools
 import hashlib
 import json
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import coefficients as coeff
@@ -46,6 +48,9 @@ SAMPLING = ("method", "scrambles", "n_samples")
 #: output formats; csv only for the experiments whose results are rows
 FORMATS = ("json", "csv")
 ROWS = ("sample", "moments", "kernel", "schedule", "trace")
+#: the versions a result depends on: part of every config hash and manifest
+VERSIONS = {"fracheat": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+            "python": sys.version.split()[0]}
 
 
 @functools.cache
@@ -198,8 +203,9 @@ class RunConfig:
         return {k: _text(self.params[k]) for k in sorted(self.params)}
 
     def canonical(self) -> str:
-        lines = [f"experiment={self.experiment}", f"code={_code_digest()}",
-                 f"seed={self.seed}", f"format={self.fmt}"]
+        lines = [f"experiment={self.experiment}", f"code={_code_digest()}"]
+        lines += [f"version.{k}={v}" for k, v in VERSIONS.items()]
+        lines += [f"seed={self.seed}", f"format={self.fmt}"]
         lines += [f"{k}={v}" for k, v in self.text_params().items()]
         return "\n".join(lines)
 
@@ -276,7 +282,13 @@ def parse_potential(spec: str, d: int):
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations: each returns (payload_dict, csv_rows_or_None)
+# experiment implementations: each returns its payload and, for the
+# experiments in ROWS, its csv columns (else None)
+
+
+def _columns(records: list) -> list:
+    # the columns of a list of dicts with the same keys
+    return list(zip(*(r.values() for r in records)))
 
 
 def _exp_sample(cfg, rng):
@@ -287,35 +299,29 @@ def _exp_sample(cfg, rng):
     # use, a missing one and out-of-range values
     spec = sub.SubordinatorSpec(family, p["alpha"], **given)
     s = spec.sample(p["t"], rng, size=p["n"])
-    rows = [(float(x),) for x in s]
     payload = {"family": family, "alpha": p["alpha"], "t": p["t"], "n": p["n"],
                "mean": float(np.mean(s)), **given}
-    return payload, rows
+    return payload, (s,)
 
 
 def _exp_moments(cfg, rng):
     alpha, n = cfg.params["alpha"], cfg.params["n"]
     s = sub.sample_stable(alpha, 1.0, rng, size=n)
-    rows, table = [], []
+    table = []
     for eta in cfg.params["eta"]:
         est = hk.Estimate.of_samples(s**eta, 1.0)
-        mean, se = est.value, est.stderr
         exact = sub.stable_moment(alpha, eta)
-        z = (mean - exact) / se
-        rows.append((alpha, eta, mean, se, exact, z))
-        table.append({"eta": eta, "empirical": mean, "stderr": se,
-                      "exact": exact, "z": z})
-    return {"alpha": alpha, "n": n, "moments": table}, rows
+        table.append({"eta": eta, "empirical": est.value, "stderr": est.stderr,
+                      "exact": exact, "z": (est.value - exact) / est.stderr})
+    return {"alpha": alpha, "n": n, "moments": table}, [[alpha] * len(table), *_columns(table)]
 
 
 def _exp_kernel(cfg, rng):
     p = cfg.params
     d, alpha = p["d"], p["alpha"]
-    rows = []
-    for t in p["t"]:
-        for x in p["x"]:
-            rows.append((d, alpha, t, x, hk.kernel_value(d, alpha, t, x)))
-    return {"rows": [dict(zip(("d", "alpha", "t", "x", "value"), r)) for r in rows]}, rows
+    rows = [{"d": d, "alpha": alpha, "t": t, "x": x, "value": hk.kernel_value(d, alpha, t, x)}
+            for t in p["t"] for x in p["x"]]
+    return {"rows": rows}, _columns(rows)
 
 
 def _exp_constants(cfg, rng):
@@ -363,7 +369,7 @@ def _exp_schedule(cfg, rng):
             for e in sched.entries
         ],
         "validity": validity,
-    }, [tuple(row) for row in a.tolist()]
+    }, a.T
 
 
 def _exp_trace(cfg, rng):
@@ -375,15 +381,20 @@ def _exp_trace(cfg, rng):
         curve = oracle.extrapolated_trace_curve(v, p["alpha"], grid, tg)
     else:
         curve = oracle.trace_difference_curve(v, p["alpha"], grid, tg)
-    rows = oracle.trace_curve_to_rows(curve)
-    payload = {"meta": {k: v2 for k, v2 in curve.meta.items()},
-               "t": [r[0] for r in rows],
-               "raw": [r[1] for r in rows],
-               "normalized": [r[2] for r in rows]}
+    payload = {"meta": dict(curve.meta), "t": curve.t_grid.tolist(),
+               "raw": curve.values.tolist(), "normalized": curve.normalized.tolist()}
     if p["fit"]:
         fit = oracle.fit_expansion(curve, list(p["exponents"]))
-        payload["fit"] = oracle.expansion_fit_to_dict(fit)
-    return payload, rows
+        payload["fit"] = {
+            "exponents": fit.exponents.tolist(),
+            "coefficients": fit.coefficients.tolist(),
+            "stderr": fit.stderr.tolist(),
+            "groups": [[list(g) if g else None for g in grp] for grp in fit.groups],
+            "max_relative_residual": fit.residual,
+            "condition_number": fit.condition_number,
+            "anchors": {f"{k:.12g}": float(v) for k, v in fit.anchors.items()},
+        }
+    return payload, (curve.t_grid, curve.values, curve.normalized)
 
 
 def _exp_relativistic(cfg, rng):
@@ -438,8 +449,16 @@ def _output_root(cfg: RunConfig) -> str:
     return cfg.output or os.environ.get("FRACHEAT_OUTPUT", "runs")
 
 
-def run(cfg: RunConfig, no_cache: bool) -> int:
-    """Execute a config: write result + manifest, honoring the result cache."""
+def _write_csv(fh, columns) -> None:
+    # the bytes csv.writer writes for these rows of numbers: the repr of each
+    # value, ',' between values and '\r\n' after each row
+    cells = (map(repr, np.asarray(c).tolist()) for c in columns)
+    text = "\r\n".join(map(",".join, zip(*cells)))
+    fh.write(text + "\r\n" if text else "")
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute a config: write result + manifest, or serve them from the cache."""
     root = _output_root(cfg)
     outdir = os.path.join(root, f"{cfg.experiment}-{cfg.hash}")
     manifest_path = os.path.join(outdir, "manifest.json")
@@ -449,13 +468,12 @@ def run(cfg: RunConfig, no_cache: bool) -> int:
         if manifest.get("canonical_config") != cfg.canonical():
             print("cache hash collision with differing config; aborting", file=sys.stderr)
             return 3
-        if not no_cache:
-            print(f"cached: {outdir}")
-            return 0 if manifest.get("exit_status", 0) == 0 else 1
+        print(f"cached: {outdir}")
+        return 0 if manifest.get("exit_status", 0) == 0 else 1
     rng = np.random.default_rng(cfg.seed)
     t0 = time.time()
     try:
-        payload, rows = EXPERIMENTS[cfg.experiment](cfg, rng)
+        payload, columns = EXPERIMENTS[cfg.experiment](cfg, rng)
     except (ValueError, RuntimeError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 4
@@ -466,7 +484,7 @@ def run(cfg: RunConfig, no_cache: bool) -> int:
     result_path = os.path.join(outdir, f"result.{cfg.fmt}")
     with open(result_path, "w", newline="") as fh:
         if cfg.fmt == "csv":
-            csv.writer(fh).writerows(rows)
+            _write_csv(fh, columns)
         else:
             json.dump(payload, fh, indent=2, sort_keys=True)
     manifest = {
@@ -477,11 +495,7 @@ def run(cfg: RunConfig, no_cache: bool) -> int:
         "seed": cfg.seed,
         "params": cfg.text_params(),
         "format": cfg.fmt,
-        "versions": {
-            "fracheat": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": VERSIONS,
         "wall_time_s": round(time.time() - t0, 3),
         "exit_status": status,
     }
@@ -503,7 +517,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default=None, help="output root directory")
     sp.add_argument("--format", default="json", help="json, or csv for row results")
-    sp.add_argument("--no-cache", action="store_true")
 
 
 @functools.cache
@@ -527,13 +540,12 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sps.add_parser("run", help="execute a flat INI config file")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--no-cache", action="store_true")
     return ap
 
 
 def main(argv=None) -> int:
     ns = vars(_parser().parse_args(argv))
-    command, no_cache = ns.pop("command"), ns.pop("no_cache")
+    command = ns.pop("command")
     try:
         if command == "run":
             cfg = load_config(ns["config"])
@@ -543,7 +555,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"fracheat: {exc}", file=sys.stderr)
         return 2
-    return run(cfg, no_cache=no_cache)
+    return run(cfg)
 
 
 if __name__ == "__main__":

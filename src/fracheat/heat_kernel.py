@@ -86,8 +86,9 @@ def _radius_cut(t: float, alpha: float) -> float:
 def kernel_value(d: int, alpha: float, t: float, x) -> float:
     """p_t^{(alpha)}(x) by adaptive quadrature of the radial inversion integral.
 
-    d = 1 uses the cosine-weighted infinite-range rule; d >= 2 the Bessel
-    radial reduction
+    d = 1 uses one plain adaptive rule up to the truncation radius where that
+    range spans at most 8 cosine periods (near the origin), else the
+    cosine-weighted infinite-range rule; d >= 2 the Bessel radial reduction
     p_t(x) = (2 pi)^{-d/2} |x|^{1-d/2} int_0^inf J_{d/2-1}(r|x|) r^{d/2} e^{-t r^alpha} dr
     truncated where the exponential factor is below 1e-18.  Its integrand
     takes J from scipy.special.cython_special, the scalar entry point of the
@@ -104,23 +105,33 @@ def kernel_value(d: int, alpha: float, t: float, x) -> float:
         return kernel_at_zero(d, alpha) * t ** (-d / alpha)
     if alpha == 2.0:
         return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-(r**2) / (4.0 * t))
+    cut = _radius_cut(t, alpha)
+    # oscillations of the integrand on [0, cut]
+    cycles = cut * r / math.pi
     if d == 1:
-        # u = 0 is a weak singularity of d^2/du^2 exp(-t u^alpha) for
-        # non-integer alpha; keep it inside a plain adaptive panel and use
-        # the cosine-weighted infinite-range rule only beyond it
-        split = min(1.0, math.pi / r)
-        v1, e1 = integrate.quad(
-            lambda u: math.cos(u * r) * math.exp(-t * u**alpha),
-            0.0, split, epsabs=1e-14, epsrel=_REL_TOL, limit=200,
-        )
-        # epsabs below ~1e-13 makes the QAWF cycle rule report failure
-        v2, e2 = integrate.quad(
-            lambda u: math.exp(-t * u**alpha),
-            split, np.inf,
-            weight="cos", wvar=r,
-            epsabs=1e-13, epsrel=_REL_TOL, limit=400,
-        )
-        val, err = v1 + v2, e1 + e2
+        def f(u):
+            return math.cos(u * r) * math.exp(-t * u**alpha)
+
+        if cycles <= 8:
+            # a cosine period long against the range of exp(-t u^alpha)
+            # misleads the cycle rule below: one plain adaptive rule
+            val, err = integrate.quad(
+                f, 0.0, cut, epsabs=1e-14, epsrel=_REL_TOL, limit=200 + int(cycles)
+            )
+        else:
+            # u = 0 is a weak singularity of d^2/du^2 exp(-t u^alpha) for
+            # non-integer alpha; keep it inside a plain adaptive panel and use
+            # the cosine-weighted infinite-range rule only beyond it
+            split = min(1.0, math.pi / r)
+            v1, e1 = integrate.quad(f, 0.0, split, epsabs=1e-14, epsrel=_REL_TOL, limit=200)
+            # epsabs below ~1e-13 makes the QAWF cycle rule report failure
+            v2, e2 = integrate.quad(
+                lambda u: math.exp(-t * u**alpha),
+                split, np.inf,
+                weight="cos", wvar=r,
+                epsabs=1e-13, epsrel=_REL_TOL, limit=400,
+            )
+            val, err = v1 + v2, e1 + e2
         out = val / math.pi
     else:
         # the scalar C entry point of the ufunc's AMOS routine (same bits, a
@@ -129,21 +140,19 @@ def kernel_value(d: int, alpha: float, t: float, x) -> float:
         from scipy.special.cython_special import jv
 
         nu, half, exp = d / 2.0 - 1.0, d / 2.0, math.exp
-        cut = _radius_cut(t, alpha)
 
         def f(u):
             return jv(nu, u * r) * u ** half * exp(-t * u**alpha)
 
         # subdivision hint roughly one panel per Bessel oscillation
-        oscillations = cut * r / math.pi
-        if 200 + oscillations > _MAX_SUBDIVISIONS:
+        if 200 + cycles > _MAX_SUBDIVISIONS:
             raise ValueError(
                 f"kernel quadrature at d={d}, alpha={alpha}, t={t}, |x|={r} needs about "
-                f"{200 + oscillations:.3g} subdivisions, more than QUADPACK's "
+                f"{200 + cycles:.3g} subdivisions, more than QUADPACK's "
                 f"{_MAX_SUBDIVISIONS}"
             )
         val, err = integrate.quad(
-            f, 0.0, cut, epsabs=1e-14, epsrel=_REL_TOL, limit=200 + int(oscillations)
+            f, 0.0, cut, epsabs=1e-14, epsrel=_REL_TOL, limit=200 + int(cycles)
         )
         out = (2.0 * math.pi) ** (-d / 2.0) * r ** (1.0 - d / 2.0) * val
     top = kernel_at_zero(d, alpha) * t ** (-d / alpha)

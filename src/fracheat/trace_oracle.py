@@ -53,8 +53,6 @@ __all__ = [
     "extrapolated_trace_curve",
     "fit_expansion",
     "domain_convergence",
-    "trace_curve_to_rows",
-    "expansion_fit_to_dict",
 ]
 
 
@@ -441,27 +439,3 @@ def fit_expansion(
         condition_number=float(cond),
         anchors=anchors,
     )
-
-
-# ---------------------------------------------------------------------------
-# Export helpers
-
-
-def trace_curve_to_rows(curve: TraceCurve):
-    """Rows (t, raw, normalized) for CSV export."""
-    return [
-        (float(t), float(v), float(n))
-        for t, v, n in zip(curve.t_grid, curve.values, curve.normalized)
-    ]
-
-
-def expansion_fit_to_dict(fit: ExpansionFit) -> dict:
-    return {
-        "exponents": [float(e) for e in fit.exponents],
-        "coefficients": [float(c) for c in fit.coefficients],
-        "stderr": [float(s) for s in fit.stderr],
-        "groups": [[list(g) if g else None for g in grp] for grp in fit.groups],
-        "max_relative_residual": fit.residual,
-        "condition_number": fit.condition_number,
-        "anchors": {f"{k:.12g}": float(v) for k, v in fit.anchors.items()},
-    }

@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from fracheat import cli
 from fracheat import coefficients as coeff
+from fracheat import subordinator as sub
 from fracheat.potential import GaussianMixturePotential, GaussianPotential
 
 
@@ -175,6 +179,65 @@ def test_code_change_invalidates_cache(tmp_path, monkeypatch, capsys):
     assert run_cli(args, tmp_path) == 0
     assert "cached" not in capsys.readouterr().out
     assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 2
+
+
+def test_library_version_change_invalidates_cache(tmp_path, monkeypatch, capsys):
+    # the hash covers every entry of VERSIONS, and the manifest records them
+    args = ["schedule", "--J", "4", "--alpha", "1.0", "--seed", "1"]
+    assert run_cli(args, tmp_path) == 0
+    assert _manifest(tmp_path)["versions"] == cli.VERSIONS
+    assert set(cli.VERSIONS) == {"fracheat", "numpy", "scipy", "python"}
+    capsys.readouterr()
+    assert run_cli(args, tmp_path) == 0
+    assert "cached" in capsys.readouterr().out
+    for i, name in enumerate(sorted(cli.VERSIONS)):
+        with monkeypatch.context() as m:
+            m.setitem(cli.VERSIONS, name, "0.0")
+            assert run_cli(args, tmp_path) == 0
+        assert "cached" not in capsys.readouterr().out
+        assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == i + 2
+
+
+def test_no_cache_flag_is_gone(capsys):
+    # a run is recomputed by deleting its directory; no flag skips the cache
+    with pytest.raises(SystemExit):
+        cli.main(["schedule", "--J", "4", "--alpha", "1.0", "--no-cache"])
+    assert "--no-cache" in capsys.readouterr().err
+
+
+def _csv_writer_bytes(rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _sample_rows(payload, seed):
+    spec = sub.SubordinatorSpec(payload["family"], payload["alpha"])
+    s = spec.sample(payload["t"], np.random.default_rng(seed), size=payload["n"])
+    return [(float(x),) for x in s]
+
+
+@pytest.mark.parametrize("args, rows", [
+    (["sample", "--alpha", "1.5", "--n", "200"], _sample_rows),
+    (["moments", "--alpha", "1.5", "--eta", "-1.0 -0.5 0.3", "--n", "2000"],
+     lambda p, _: [(p["alpha"], m["eta"], m["empirical"], m["stderr"], m["exact"], m["z"])
+                   for m in p["moments"]]),
+    (["kernel", "--d", "1", "--alpha", "1.5", "--t", "0.5 1.0", "--x", "0.0 0.5 2.0"],
+     lambda p, _: [(r["d"], r["alpha"], r["t"], r["x"], r["value"]) for r in p["rows"]]),
+    (["schedule", "--J", "5", "--alpha", "1.5"], lambda p, _: p["matrix"]),
+    (["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--n-modes", "64",
+      "--points", "6", "--refine", "false"],
+     lambda p, _: list(zip(p["t"], p["raw"], p["normalized"]))),
+], ids=["sample", "moments", "kernel", "schedule", "trace"])
+def test_csv_matches_csv_writer(tmp_path, args, rows):
+    # result.csv holds the bytes csv.writer writes for the result's values
+    seed = 5
+    for fmt in ("json", "csv"):
+        assert cli.main(args + ["--seed", str(seed), "--format", fmt,
+                                "--output", str(tmp_path / fmt)]) == 0
+    payload = _read_result(tmp_path / "json")
+    (d,) = (tmp_path / "csv").iterdir()
+    assert (d / "result.csv").read_bytes().decode() == _csv_writer_bytes(rows(payload, seed))
 
 
 def test_constants_analytic_path(tmp_path):
@@ -360,6 +423,14 @@ def test_sample_family_parameters(tmp_path, capsys, args, flag):
     # the refusal is SubordinatorSpec's, naming the parameter without dashes
     assert run_cli(["sample"] + args + ["--n", "10"], tmp_path) == 4
     assert capsys.readouterr().err.rstrip().endswith(" " + flag[2:])
+
+
+def test_kernel_row_near_the_origin_agrees_with_the_origin(tmp_path):
+    # at |x| = 1e-3 the kernel lies within about 1e-6 of its value at 0
+    assert run_cli(["kernel", "--d", "1", "--alpha", "1.9", "--t", "0.3",
+                    "--x", "0.0 0.001"], tmp_path) == 0
+    at_zero, near = (r["value"] for r in _read_result(tmp_path)["rows"])
+    assert near == pytest.approx(at_zero, rel=2e-6)
 
 
 def test_kernel_beyond_quadpack_exits_4_and_writes_nothing(tmp_path, capsys):

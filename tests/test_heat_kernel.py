@@ -47,6 +47,26 @@ def test_kernel_value_cauchy():
     assert hk.kernel_value(1, 1.0, 2.0, 1.0) == pytest.approx(2.0 / (5.0 * math.pi), rel=1e-8)
 
 
+@pytest.mark.parametrize("t", [0.05, 0.2, 1.0])
+def test_kernel_value_cauchy_near_the_origin(t):
+    # p_t(x) = t / (pi (t^2 + x^2)) at alpha = 1, on distances where the
+    # cosine's first period is long against the range of exp(-t u)
+    for x in (1e-4, 5e-4, 1e-3, 0.005, 0.01, 0.02):
+        want = t / (math.pi * (t * t + x * x))
+        assert hk.kernel_value(1, 1.0, t, x) == pytest.approx(want, rel=1e-9), x
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.9])
+def test_kernel_value_tends_to_the_value_at_zero(alpha):
+    # p_t(0) - p_t(x) = O(x^2) for alpha > 1: a kernel near the origin lies
+    # just below its maximum
+    t = 0.3
+    top = hk.kernel_at_zero(1, alpha) * t ** (-1.0 / alpha)
+    for x in (1e-2, 1e-3, 5e-4, 1e-4):
+        gap = 1.0 - hk.kernel_value(1, alpha, t, x) / top
+        assert 0.0 <= gap <= 3.0 * x * x, x
+
+
 def test_kernel_value_gaussian():
     want = (4.0 * math.pi) ** -0.5 * math.exp(-0.25)
     assert hk.kernel_value(1, 2.0, 1.0, 1.0) == pytest.approx(want, rel=1e-12)

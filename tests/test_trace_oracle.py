@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from fracheat import cli
 from fracheat import coefficients as coeff
 from fracheat import trace_oracle as oracle
 from fracheat.potential import GaussianMixturePotential, GaussianPotential
@@ -387,13 +389,19 @@ def test_fit_cross_validates_against_mc_coefficient():
     assert abs(got - est.value) <= 0.02 * abs(est.value) + 3.0 * (sig + est.stderr)
 
 
-def test_trace_curve_rows_and_fit_dict():
-    t = np.geomspace(1e-2, 1e-1, 12)
-    curve = _synthetic_curve([1.0, 2.0], [1.0, 2.0], t)
-    rows = oracle.trace_curve_to_rows(curve)
-    assert len(rows) == 12 and len(rows[0]) == 3
-    fit = oracle.fit_expansion(curve, [1.0, 2.0])
-    d = oracle.expansion_fit_to_dict(fit)
+def test_trace_curve_rows_and_fit_dict(tmp_path):
+    # fracheat trace writes three csv columns (t, raw, normalized) and the
+    # fit's exponents, coefficients and diagnostics
+    args = ["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--n-modes", "64",
+            "--points", "12", "--refine", "false", "--fit", "--exponents", "1 2"]
+    for fmt in ("csv", "json"):
+        assert cli.main(args + ["--format", fmt, "--output", str(tmp_path / fmt)]) == 0
+    (csv_dir,) = (tmp_path / "csv").iterdir()
+    rows = (csv_dir / "result.csv").read_text().splitlines()
+    assert len(rows) == 12 and all(len(r.split(",")) == 3 for r in rows)
+    (json_dir,) = (tmp_path / "json").iterdir()
+    fit = json.loads((json_dir / "result.json").read_text())["fit"]
     for key in ("exponents", "coefficients", "stderr", "max_relative_residual",
                 "condition_number"):
-        assert key in d
+        assert key in fit
+    assert fit["exponents"] == [1.0, 2.0]

@@ -5,12 +5,13 @@ of the package source, and executes through
 the same runner: results land in a content-addressed directory under the
 output root (flag --output, else $FRACHEAT_OUTPUT, else ./runs) together
 with a manifest recording the config hash, every effective parameter, the
-seed, library versions and wall time.  The hash also covers the versions
-of fracheat, numpy, scipy and python (:data:`VERSIONS`), so no result is
-served across a library change.  Identical config + seed reproduces
-bit-identical JSON numeric fields; a repeated run is served from the cache
-(delete its directory to recompute), and a hash collision with a differing
-stored config is a hard error.
+seed, library versions, wall time and the warnings the run raised (each
+distinct one once, with its count, and re-emitted once).  The hash also
+covers the versions of fracheat, numpy, scipy and python (:data:`VERSIONS`),
+so no result is served across a library change.  Identical config + seed
+reproduces bit-identical JSON numeric fields; a repeated run is served from
+the cache (delete its directory to recompute), and a hash collision with a
+differing stored config is a hard error.
 
 Config files are flat INI: one section named after the experiment, plain
 key = value pairs, no nesting.  Argv and INI parameters are resolved through
@@ -28,6 +29,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,7 +46,7 @@ from .acceptance import acceptance_suite
 
 SCHEMA_VERSION = 1
 #: result fields the manifest repeats: how an estimate was obtained
-SAMPLING = ("method", "scrambles", "n_samples")
+SAMPLING = ("method", "scrambles", "n_samples", "s_moment")
 #: output formats; csv only for the experiments whose results are rows
 FORMATS = ("json", "csv")
 ROWS = ("sample", "moments", "kernel", "schedule", "trace")
@@ -457,6 +459,22 @@ def _write_csv(fh, columns) -> None:
     fh.write(text + "\r\n" if text else "")
 
 
+def _reemit(caught) -> list:
+    """Each distinct (category, message) of the caught warnings with its count.
+
+    Each is re-emitted once, at its first origin, under the caller's filters,
+    so a filter that turns it into an error still does.
+    """
+    first, counts = {}, {}
+    for w in caught:
+        key = (w.category.__name__, str(w.message))
+        first.setdefault(key, w)
+        counts[key] = counts.get(key, 0) + 1
+    for w in first.values():
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return [{"category": c, "message": m, "count": counts[c, m]} for c, m in first]
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a config: write result + manifest, or serve them from the cache."""
     root = _output_root(cfg)
@@ -473,10 +491,15 @@ def run(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     t0 = time.time()
     try:
-        payload, columns = EXPERIMENTS[cfg.experiment](cfg, rng)
+        with warnings.catch_warnings(record=True) as caught:
+            # every warning is counted here and shown (or raised) once below
+            warnings.simplefilter("always")
+            payload, columns = EXPERIMENTS[cfg.experiment](cfg, rng)
     except (ValueError, RuntimeError) as exc:
+        _reemit(caught)
         print(f"run aborted: {exc}", file=sys.stderr)
         return 4
+    warned = _reemit(caught)
     status = 0
     if cfg.experiment == "acceptance" and not payload.get("all_passed", True):
         status = 1
@@ -498,6 +521,7 @@ def run(cfg: RunConfig) -> int:
         "versions": VERSIONS,
         "wall_time_s": round(time.time() - t0, 3),
         "exit_status": status,
+        "warnings": warned,
     }
     sampling = {k: payload[k] for k in SAMPLING if k in payload}
     if sampling:

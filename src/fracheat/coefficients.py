@@ -22,7 +22,9 @@ Both estimators run through one engine, _mc_estimate: each estimator
 declares the column widths of its samplers (_sorted_simplex,
 increments_batch, the potential's proposal_sample), every block of
 scrambled Sobol points is split once by those widths, and each sampler
-transforms its own columns and refuses any other count.  SCRAMBLES
+transforms its own columns and refuses any other count.  The C_{0,j}
+estimates draw theta alone: S_1 is independent of theta there, and its
+moment E[S_1^{-d/2}] is taken in closed form (conditioning on S_1).  SCRAMBLES
 independent scrambles of ceil(n / SCRAMBLES) points each are averaged, and
 the stderr is the spread of the scramble means.
 That stderr holds also where the integrand's fourth moment is infinite
@@ -40,7 +42,7 @@ import numpy as np
 from .heat_kernel import Estimate, kernel_at_zero
 from .potential import _add
 from .sobol import ScrambledSobol
-from .subordinator import _row_blocks, _validate_alpha, increments_batch
+from .subordinator import _row_blocks, _validate_alpha, increments_batch, stable_moment
 
 __all__ = [
     "ScheduleEntry",
@@ -304,8 +306,13 @@ def mc_coefficient_Cnj(
     Vhat(-(theta_1+..+theta_{j-1})) * prod_i Vhat(theta_i) divided by the
     proposal density.  Every draw is an inverse transform of scrambled Sobol
     points, at most 32 dimensions: j + 2j (alpha < 2) + (j-1)(d + 1 for a
-    mixture).  For n = 0 this reduces to int V^j / j!, the convention gate
-    for all (2 pi) powers and simplex volumes.
+    mixture) for n >= 1.  At n = 0, L_j^0 = 1 and S_1 is independent of
+    theta, so S_1^{-d/2} is integrated exactly, E[S_1^{-d/2}] =
+    stable_moment(alpha, -d/2), and only the (j-1)(d + 1 for a mixture)
+    theta columns are drawn (params["s_moment"] == "exact").  The estimate
+    then tends to int V^j / j!, the convention gate for all (2 pi) powers,
+    the simplex volume 1/j! and the product C_{d,alpha} E[S_1^{-d/2}] =
+    (2 pi)^d of two independent closed forms.
     """
     if j < 2:
         raise ValueError("j must be >= 2 (the j = 1 term is -t int V)")
@@ -318,30 +325,37 @@ def mc_coefficient_Cnj(
         # nothing to sample: every C_{n,j} of the zero potential is exactly 0
         return Estimate(0.0, 0.0, 0, params={"n": n, "j": j, "d": d, "alpha": alpha,
                                               "method": "zero_potential"})
-    pref = c_d_alpha(d, alpha) / (
+    params = {"n": n, "j": j, "d": d, "alpha": alpha}
+    # per theta d normals and, when there are several components, a pick
+    widths = ((j - 1) * (d + (len(V.c) > 1)),)
+    s_moment = 1.0
+    if n == 0:
+        # the integrand S_1^{-d/2} w(theta) has S_1 independent of theta
+        s_moment = stable_moment(alpha, -d / 2.0)
+        params["s_moment"] = "exact"
+    else:
+        # j simplex columns and (U, E) for each of j increments below alpha = 2
+        widths = (j, 2 * j if alpha < 2.0 else 0) + widths
+    pref = c_d_alpha(d, alpha) * s_moment / (
         (2.0 * math.pi) ** (j * d) * math.factorial(n) * math.factorial(j)
     )
 
-    def integrand(heads, incs, totals, th):
-        w = V.theta_weight(th)
-        ljn = _lj_batch(heads, incs, totals, th) ** n if n > 0 else 1.0
-        return totals ** (-d / 2.0) * ljn * w
-
-    def sample_fn(simplex, kanter, theta):
+    def sample_fn(*columns):
         # every draw of the chunk first; then the integrand one cache-sized
         # row block at a time
-        heads, incs, totals = _increments(alpha, simplex, kanter)
-        th = V.proposal_sample(theta, j - 1)
+        th = V.proposal_sample(columns[-1], j - 1)
+        if n > 0:
+            heads, incs, totals = _increments(alpha, *columns[:2])
         f = np.empty(th.shape[0])
         for b in _row_blocks(th.shape[0]):
-            f[b] = integrand(heads[b], incs[b], totals[b], th[b])
+            w = V.theta_weight(th[b])
+            if n > 0:
+                ljn = _lj_batch(heads[b], incs[b], totals[b], th[b]) ** n
+                w = totals[b] ** (-d / 2.0) * ljn * w
+            f[b] = w
         return f
 
-    # j simplex columns, (U, E) for each of j increments below alpha = 2,
-    # and per theta d normals and, when there are several components, a pick
-    widths = (j, 2 * j if alpha < 2.0 else 0, (j - 1) * (d + (len(V.c) > 1)))
-    return _mc_estimate(sample_fn, widths, n_samples, pref,
-                        {"n": n, "j": j, "d": d, "alpha": alpha}, rng)
+    return _mc_estimate(sample_fn, widths, n_samples, pref, params, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,36 @@ def _manifest(root):
     return json.loads((d / "manifest.json").read_text())
 
 
+def test_manifest_records_warnings(tmp_path):
+    # scipy's QAWF warning in the d=1 kernel at (alpha, t, x) = (1.5, 0.1, 0.5)
+    # reaches the manifest once with its count, and is still re-emitted
+    from scipy.integrate import IntegrationWarning
+
+    with pytest.warns(IntegrationWarning, match="Bad integrand behavior") as emitted:
+        assert run_cli(["kernel", "--d", "1", "--alpha", "1.5", "--t", "0.1", "--x", "0.5"],
+                       tmp_path / "kernel") == 0
+    (warned,) = _manifest(tmp_path / "kernel")["warnings"]
+    assert warned["category"] == "IntegrationWarning" and warned["count"] == 1
+    assert [str(w.message) for w in emitted] == [warned["message"]]
+    assert warned["message"].startswith("Bad integrand behavior")
+    assert run_cli(["constants", "--which", "K1", "--d", "2", "--alpha", "2", "--analytic"],
+                   tmp_path / "constants") == 0
+    assert _manifest(tmp_path / "constants")["warnings"] == []
+
+
+def test_warning_filters_still_fire_through_the_runner(tmp_path):
+    # a filter that turns the warning into an error aborts the run before
+    # anything is written, as it did when the warning was not recorded
+    from scipy.integrate import IntegrationWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        with pytest.raises(IntegrationWarning):
+            run_cli(["kernel", "--d", "1", "--alpha", "1.5", "--t", "0.1", "--x", "0.5"],
+                    tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_argv_and_ini_hash_alike(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["schedule", "--J", "5", "--alpha", "1.5", "--M", "1", "--d", "1",
@@ -260,11 +291,13 @@ MC_1000 = {"method": "mc", "n_samples": 1000}
 @pytest.mark.parametrize("args, want", [
     (["coeff", "--n-index", "1", "--j", "2", "--alpha", "1.8", "--potential",
       "gaussian:c=1,s=1", "--samples", "1000"], RQMC_1000),
+    (["coeff", "--n-index", "0", "--j", "2", "--alpha", "1.8", "--potential",
+      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, s_moment="exact")),
     (["constants", "--which", "L", "--alpha", "1.8", "--n", "1000"], RQMC_1000),
     (["relativistic", "--alpha", "1.0", "--m", "1.0", "--samples", "1000"], MC_1000),
     (["mixed", "--d", "2", "--alpha", "0.8", "--beta", "1.6", "--a", "1.0",
       "--samples", "1000"], MC_1000),
-], ids=["coeff", "constants", "relativistic", "mixed"])
+], ids=["coeff", "coeff n=0", "constants", "relativistic", "mixed"])
 def test_estimate_records_sampling(tmp_path, args, want):
     # payload and manifest carry the method, the scrambles of an RQMC
     # estimate and the number of points evaluated

@@ -196,7 +196,7 @@ PINNED_PATHS = {
     "C03 mixture d=1 alpha=1.8": (
         lambda: (GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3]), 0, 3, 1, 1.8,
                  14142),
-        (0.10801313143258735, 2.488397098586338e-05)),
+        (0.10798885770888848, 1.1857076513476228e-05)),
     "C12 mixture d=2 alpha=1.5": (
         lambda: (GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [[0.0, 0.0], [1.0, 0.3]], d=2),
                  1, 2, 2, 1.5, 17320),
@@ -248,10 +248,48 @@ def test_scramble_blocks_match_whole_scrambles(monkeypatch):
 
 
 def test_point_dimension_limit_named():
-    # j + 2j + (j-1)(d+1) uniforms per point: 39 at j = 7, d = 3 with a mixture
+    # j + 2j + (j-1)(d+1) uniforms per point at n >= 1: 39 at j = 7, d = 3
+    # with a mixture
     v = GaussianMixturePotential([1.0, 0.5], [1.0, 2.0], np.zeros((2, 3)))
     with pytest.raises(ValueError, match="32"):
-        coeff.mc_coefficient_Cnj(v, 0, 7, 3, 1.5, 1000, rng())
+        coeff.mc_coefficient_Cnj(v, 1, 7, 3, 1.5, 1000, rng())
+
+
+def test_c0j_draws_no_increments(monkeypatch):
+    # at n = 0, E[S_1^{-d/2}] is exact: neither lam nor an increment is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("increments drawn at n = 0")
+
+    v = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
+    assert "s_moment" not in coeff.mc_coefficient_Cnj(v, 1, 2, 1, 1.8, 4096, rng(6)).params
+    monkeypatch.setattr(coeff, "increments_batch", refuse)
+    for alpha in (1.2, 2.0):
+        est = coeff.mc_coefficient_Cnj(v, 0, 3, 1, alpha, 4096, rng(6))
+        assert est.params["s_moment"] == "exact"
+        assert est.params["method"] == "rqmc" and est.params["scrambles"] == coeff.SCRAMBLES
+    with pytest.raises(AssertionError, match="increments drawn"):
+        coeff.mc_coefficient_Cnj(v, 1, 2, 1, 1.8, 4096, rng(6))
+
+
+@pytest.mark.parametrize("v,d", [
+    (GaussianPotential(1.0, 1.0, center=0.8), 1),
+    (GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [[0.0, 0.0], [1.0, 0.3]], d=2), 2),
+], ids=["gaussian d=1", "mixture d=2"])
+def test_c0j_same_draws_at_every_alpha(v, d):
+    # the theta draws do not depend on alpha, and C_{d,alpha} E[S_1^{-d/2}]
+    # = (2 pi)^d for every alpha: only its rounding may differ
+    values = [coeff.mc_coefficient_Cnj(v, 0, 3, d, alpha, 4096, rng(5)).value
+              for alpha in (0.7, 1.3, 2.0)]
+    assert values == pytest.approx([values[-1]] * 3, rel=1e-14, abs=0.0)
+
+
+def test_c0j_high_order_within_the_point_dimension_limit():
+    # (j-1)(d+1) = 24 theta columns at j = 7, d = 3 with a mixture, which the
+    # simplex and Kanter columns took to 39 before S_1 was integrated exactly
+    v = GaussianMixturePotential([1.0, 0.5], [1.0, 2.0], np.zeros((2, 3)))
+    est = coeff.mc_coefficient_Cnj(v, 0, 7, 3, 1.5, 1 << 18, rng(7))
+    want = v.integral_power(7) / math.factorial(7)
+    assert abs(est.value - want) <= 4.0 * est.stderr
 
 
 def test_estimators_do_not_import_scipy_stats():
@@ -281,6 +319,8 @@ def _exact_l_dirichlet(alpha):
     return l_const * v.dirichlet_energy()
 
 
+OFF_CENTRE = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
+
 # Coverage of the scramble-based stderr over 20 scramble seeds, with the
 # thresholds fixed before the first run: every |z| <= 4, and at most 2 of 20
 # beyond 3 (t with 31 degrees of freedom puts 0.5% there).
@@ -295,6 +335,9 @@ COVERAGE = {
     "C_12 gaussian alpha=1.8": (
         lambda n, r: coeff.mc_coefficient_Cnj(GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, n, r),
         lambda: _exact_l_dirichlet(1.8)),
+    "C_03 mixture alpha=1.8": (
+        lambda n, r: coeff.mc_coefficient_Cnj(OFF_CENTRE, 0, 3, 1, 1.8, n, r),
+        lambda: OFF_CENTRE.integral_power(3) / 6.0),
 }
 
 

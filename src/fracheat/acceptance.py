@@ -155,7 +155,7 @@ def criterion_06_coefficient_convention(seed) -> CriterionResult:
     checks = []
     for j in (2, 3):
         want = v.integral_power(j) / math.factorial(j)
-        est = coeff.mc_coefficient_Cnj(v, 0, j, 1, 1.0, 4 * 10**6, rng)
+        est = coeff.mc_coefficient_Cnj(v, 0, j, 1, 1.0, 2**22, rng)
         z = (est.value - want) / est.stderr
         rel = abs(est.value - want) / want
         checks.append(

@@ -95,8 +95,7 @@ def _text(value) -> str:
 class Param(NamedTuple):
     """A parameter: flag, type, default (REQUIRED, None if optional) and help.
 
-    A boolean that defaults to False is a switch (``--fit``); one that
-    defaults to True takes a value (``--refine false``).
+    A boolean is a switch (``--fit``).
     """
 
     flag: str
@@ -149,8 +148,7 @@ PARAMS = {
         Param("--tmin", float, 1e-3, "first time"), Param("--tmax", float, 1e-1, "last time"),
         Param("--points", int, 40, "number of times"),
         Param("--fit", _boolean, False, "fit the expansion"),
-        Param("--exponents", _floats, "1 2 3 4", "exponents of the fit"),
-        Param("--refine", _boolean, True, "Richardson pair over mode doubling"))),
+        Param("--exponents", _floats, "1 2 3 4", "exponents of the fit"))),
     "relativistic": ("relativistic kernel at zero by Monte Carlo", (
         D, ALPHA, MASS, Param("--t", float, 0.5, "time"), SAMPLES)),
     "mixed": ("mixed-stable kernel at zero by Monte Carlo", (
@@ -300,6 +298,8 @@ def _exp_sample(cfg, rng):
     # the spec refuses an unknown family, a parameter the family does not
     # use, a missing one and out-of-range values
     spec = sub.SubordinatorSpec(family, p["alpha"], **given)
+    if p["n"] < 1:
+        raise ValueError(f"sample: n={p['n']} must be >= 1")
     s = spec.sample(p["t"], rng, size=p["n"])
     payload = {"family": family, "alpha": p["alpha"], "t": p["t"], "n": p["n"],
                "mean": float(np.mean(s)), **given}
@@ -308,6 +308,8 @@ def _exp_sample(cfg, rng):
 
 def _exp_moments(cfg, rng):
     alpha, n = cfg.params["alpha"], cfg.params["n"]
+    if alpha == 2.0:
+        raise ValueError("moments: alpha=2 gives S_1 = 1, with no spread to estimate z from")
     s = sub.sample_stable(alpha, 1.0, rng, size=n)
     table = []
     for eta in cfg.params["eta"]:
@@ -379,10 +381,9 @@ def _exp_trace(cfg, rng):
     v = parse_potential(p["potential"], d=p["d"])
     grid = oracle.SpectralGrid(p["d"], p["l"], p["n_modes"])
     tg = np.geomspace(p["tmin"], p["tmax"], p["points"])
-    if p["refine"]:
-        curve = oracle.extrapolated_trace_curve(v, p["alpha"], grid, tg)
-    else:
-        curve = oracle.trace_difference_curve(v, p["alpha"], grid, tg)
+    # the Richardson pair over mode doubling holds in d=1 only
+    route = oracle.extrapolated_trace_curve if p["d"] == 1 else oracle.trace_difference_curve
+    curve = route(v, p["alpha"], grid, tg)
     payload = {"meta": dict(curve.meta), "t": curve.t_grid.tolist(),
                "raw": curve.values.tolist(), "normalized": curve.normalized.tolist()}
     if p["fit"]:
@@ -555,10 +556,9 @@ def _parser() -> argparse.ArgumentParser:
         sp = sps.add_parser(name, help=text, description=text)
         for p in params:
             note = {REQUIRED: "required", None: "optional"}.get(p.default, f"default {p.default}")
-            switch = p.type is _boolean and p.default is False
             # an absent flag stays absent: the table fills in its default
             sp.add_argument(p.flag, dest=_key(p.flag), default=argparse.SUPPRESS,
-                            action="store_true" if switch else "store",
+                            action="store_true" if p.type is _boolean else "store",
                             help=f"{p.help} ({note})")
         _add_common(sp)
 

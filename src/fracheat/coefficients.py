@@ -375,6 +375,7 @@ def exponent_schedule(J: int, M: int, alpha: float, d: int) -> ExponentSchedule:
     """
     if J < 2 or M < 1:
         raise ValueError("need J >= 2 and M >= 1")
+    _validate_alpha(alpha)
     cutoff = phi_exponent(J, M, alpha)
     entries = [ScheduleEntry(exponent=1.0, n=0, j=1, sign=-1)]
     for j in range(2, J + 1):
@@ -394,6 +395,7 @@ def matrix_AJ(J: int, alpha: float) -> np.ndarray:
     """
     if J < 2:
         raise ValueError("J must be >= 2")
+    _validate_alpha(alpha)
     A = np.zeros((J - 1, J - 1))
     for r in range(1, J):
         for s in range(1, r + 1):

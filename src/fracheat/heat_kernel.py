@@ -43,8 +43,11 @@ class Estimate:
         """``scale`` times the mean of the samples ``w``, with its standard error.
 
         The samples are independent draws, so ``params`` record plain Monte
-        Carlo (``method="mc"``).
+        Carlo (``method="mc"``).  Fewer than 2 samples have no standard error
+        and are refused.
         """
+        if w.size < 2:
+            raise ValueError(f"n={w.size} samples: a standard error needs at least 2")
         return cls(float(scale * w.mean()),
                    float(scale * w.std(ddof=1) / math.sqrt(w.size)), w.size,
                    {"method": "mc"})

@@ -292,12 +292,16 @@ def trace_difference_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Trace
 
 
 def extrapolated_trace_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> TraceCurve:
-    """Richardson pair over mode doubling: 2 * curve(2N) - curve(N).
+    """Richardson pair over mode doubling: 2 * curve(2N) - curve(N), d = 1 only.
 
     The leading truncation contamination of the normalized curve scales
-    like 1/xi_max at fixed L, so the doubled-mode run (already required by
-    the grid-convergence gate) cancels it.
+    like 1/xi_max at fixed L in d = 1, so the doubled-mode run (already
+    required by the grid-convergence gate) cancels it; other d are refused.
     """
+    if grid.d != 1:
+        raise ValueError(f"the Richardson pair assumes a grid error first order in 1/xi_max, "
+                         f"true only in d=1 (d=2 fits orders 0.94-2.42), not d={grid.d}: "
+                         f"use trace_difference_curve")
     base = trace_difference_curve(V, alpha, grid, t_grid)
     fine = trace_difference_curve(V, alpha, grid.doubled_modes(), t_grid)
     meta = dict(base.meta)

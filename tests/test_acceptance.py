@@ -20,22 +20,6 @@ def test_criterion(criterion):
     assert result.passed, result.detail
 
 
-def test_seed_robustness_spot_checks():
-    # a different seed must not flip the seeded criteria
-    for fn in (
-        acceptance.criterion_01_moment_identity,
-        acceptance.criterion_05_robustness_trend,
-        acceptance.criterion_06_coefficient_convention,
-        acceptance.criterion_07_cross_pipeline,
-        acceptance.criterion_08_trace_expansion,
-        acceptance.criterion_09_exponent_exactness,
-        acceptance.criterion_10_tail_bound,
-        acceptance.criterion_11_relativistic_mixed,
-    ):
-        result = fn(np.random.SeedSequence([999, acceptance.CRITERIA.index(fn)]))
-        assert result.passed, f"{result.name}: {result.detail}"
-
-
 STOCHASTIC = (
     acceptance.criterion_01_moment_identity,
     acceptance.criterion_05_robustness_trend,
@@ -46,13 +30,13 @@ STOCHASTIC = (
 )
 
 
-@pytest.mark.parametrize("seed", [31337])
+@pytest.mark.parametrize("seed", [999, 31337])
 @pytest.mark.parametrize(
     "criterion", STOCHASTIC, ids=lambda fn: fn.__name__.replace("criterion_", "")
 )
 def test_stochastic_criterion_at_other_seed(criterion, seed):
-    # a third seed, beside the main run and the seed-999 spot checks, with
-    # the same gates
+    # two more seeds beside the main run, with the same gates; criteria 08
+    # and 09 draw nothing from their seed, so test_criterion covers them
     result = criterion(np.random.SeedSequence([seed, acceptance.CRITERIA.index(criterion)]))
     assert result.passed, f"{result.name}: {result.detail}"
 

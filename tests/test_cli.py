@@ -133,26 +133,25 @@ def test_schedule_honours_M(tmp_path):
 def test_trace_honours_L(tmp_path):
     assert run_cli(
         ["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--L", "10",
-         "--n-modes", "128", "--points", "4", "--refine", "false", "--seed", "0"],
+         "--n-modes", "128", "--points", "4", "--seed", "0"],
         tmp_path,
     ) == 0
     assert _read_result(tmp_path)["meta"]["L"] == 10.0
 
 
 def test_trace_d2_records_the_symmetry_blocks(tmp_path):
-    # a centred d=2 potential is solved in the square's symmetry blocks, on
-    # the base grid and on the doubled grid of the Richardson pair
-    assert run_cli(
-        ["trace", "--d", "2", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--L", "10",
-         "--n-modes", "16", "--points", "4", "--seed", "0"],
-        tmp_path,
-    ) == 0
-    meta = _read_result(tmp_path)["meta"]
-    assert meta["solve"] == "sectors"
-    assert meta["block_sizes"] == [36, 28, 56, 28, 21]
-    assert meta["block_multiplicities"] == [1, 1, 2, 1, 1]
-    assert meta["fine_block_sizes"] == [136, 120, 240, 120, 105]
-    assert meta["fine_block_multiplicities"] == [1, 1, 2, 1, 1]
+    # a centred d=2 potential is solved in the square's symmetry blocks, on a
+    # single grid: the Richardson pair holds in d=1 only
+    blocks = {16: [36, 28, 56, 28, 21], 32: [136, 120, 240, 120, 105]}
+    for n, sizes in blocks.items():
+        assert run_cli(["trace", "--d", "2", "--alpha", "1.0", "--potential",
+                        "gaussian:c=-1,s=1", "--L", "10", "--n-modes", str(n), "--points", "4",
+                        "--seed", "0"], tmp_path / str(n)) == 0
+        meta = _read_result(tmp_path / str(n))["meta"]
+        assert meta["solve"] == "sectors" and meta["refined"] is False
+        assert meta["block_sizes"] == sizes
+        assert meta["block_multiplicities"] == [1, 1, 2, 1, 1]
+        assert not [k for k in meta if k.startswith("fine_")]
 
 
 def _manifest(root):
@@ -230,10 +229,14 @@ def test_library_version_change_invalidates_cache(tmp_path, monkeypatch, capsys)
 
 
 def test_no_cache_flag_is_gone(capsys):
-    # a run is recomputed by deleting its directory; no flag skips the cache
-    with pytest.raises(SystemExit):
-        cli.main(["schedule", "--J", "4", "--alpha", "1.0", "--no-cache"])
-    assert "--no-cache" in capsys.readouterr().err
+    # a run is recomputed by deleting its directory; no flag skips the cache,
+    # and trace picks its route from --d
+    for argv, flag in ((["schedule", "--J", "4", "--alpha", "1.0", "--no-cache"], "--no-cache"),
+                       (["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1",
+                         "--refine", "false"], "--refine")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2 and flag in capsys.readouterr().err
 
 
 def _csv_writer_bytes(rows) -> str:
@@ -257,7 +260,7 @@ def _sample_rows(payload, seed):
      lambda p, _: [(r["d"], r["alpha"], r["t"], r["x"], r["value"]) for r in p["rows"]]),
     (["schedule", "--J", "5", "--alpha", "1.5"], lambda p, _: p["matrix"]),
     (["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--n-modes", "64",
-      "--points", "6", "--refine", "false"],
+      "--points", "6"],
      lambda p, _: list(zip(p["t"], p["raw"], p["normalized"]))),
 ], ids=["sample", "moments", "kernel", "schedule", "trace"])
 def test_csv_matches_csv_writer(tmp_path, args, rows):
@@ -405,9 +408,12 @@ def _ini(tmp_path, body, name="exp.ini"):
 @pytest.mark.parametrize("body,key", [
     ("J = 5\nnn = 5\nalpha = 1.5\n", "nn"),     # unknown key
     ("J = 5\n", "alpha"),                        # missing required key
+    ("[trace]\nalpha = 1\npotential = gaussian:c=-1\nrefine = false\n", "refine"),  # gone
 ])
 def test_ini_bad_keys_named(tmp_path, capsys, body, key):
-    ini = _ini(tmp_path, f"[schedule]\n{body}output = {tmp_path / 'o'}\n")
+    # the section is [schedule] unless the body names one
+    section = "" if body.startswith("[") else "[schedule]\n"
+    ini = _ini(tmp_path, f"{section}{body}output = {tmp_path / 'o'}\n")
     assert cli.main(["run", "--config", ini]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
@@ -429,12 +435,11 @@ def test_ini_defaults_and_spelling_hash_like_argv(tmp_path):
 
 def test_manifest_lists_every_effective_parameter(tmp_path):
     assert run_cli(["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1",
-                    "--n-modes", "64", "--points", "4", "--refine", "false"], tmp_path) == 0
+                    "--n-modes", "64", "--points", "4"], tmp_path) == 0
     params = _manifest(tmp_path)["params"]
     assert params == {"d": "1", "alpha": "1.0", "potential": "gaussian:c=-1,s=1",
                       "l": "40.0", "n_modes": "64", "tmin": "0.001", "tmax": "0.1",
-                      "points": "4", "fit": "False", "exponents": "1.0 2.0 3.0 4.0",
-                      "refine": "False"}
+                      "points": "4", "fit": "False", "exponents": "1.0 2.0 3.0 4.0"}
     # a config written from those params resolves to the same run
     cfg = cli.RunConfig("trace", params, output=str(tmp_path))
     assert cfg.hash == _manifest(tmp_path)["config_hash"]
@@ -473,6 +478,23 @@ def test_kernel_beyond_quadpack_exits_4_and_writes_nothing(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "subdivisions" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["schedule", "--J", "4", "--alpha", "2.5"], "alpha=2.5 outside (0, 2]"),
+    (["schedule", "--J", "4", "--alpha", "0"], "alpha=0.0 outside (0, 2]"),
+    (["moments", "--alpha", "2"], "alpha=2"),           # S_1 = 1: stderr 0
+    (["moments", "--alpha", "1.5", "--n", "1"], "n=1"),  # no standard error
+    (["moments", "--alpha", "1.5", "--n", "0"], "n=0"),
+    (["sample", "--alpha", "1.5", "--n", "0"], "n=0"),
+    (["sample", "--alpha", "1.5", "--n", "-3"], "n=-3"),
+])
+def test_degenerate_inputs_exit_4_and_write_nothing(tmp_path, capsys, args, named):
+    out = tmp_path / "out"
+    assert cli.main(args + ["--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -292,6 +292,15 @@ def test_d2_leading_order():
     assert np.max(np.abs(slope - want) / abs(want)) < 0.01
 
 
+def test_richardson_pair_refused_outside_d1():
+    # in d=2 the grid error is not first order in 1/xi_max, and the pair
+    # lands further from the limit than its own fine grid
+    v2 = GaussianPotential(-1.0, 1.0, center=(0.0, 0.0))
+    grid = oracle.SpectralGrid(2, 10.0, 16)
+    with pytest.raises(ValueError, match=r"first order in 1/xi_max, true only in d=1"):
+        oracle.extrapolated_trace_curve(v2, 1.0, grid, [0.1, 0.2])
+
+
 def test_t_grid_validation():
     grid = oracle.SpectralGrid(1, 20.0, 64)
     with pytest.raises(ValueError):
@@ -393,7 +402,7 @@ def test_trace_curve_rows_and_fit_dict(tmp_path):
     # fracheat trace writes three csv columns (t, raw, normalized) and the
     # fit's exponents, coefficients and diagnostics
     args = ["trace", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1", "--n-modes", "64",
-            "--points", "12", "--refine", "false", "--fit", "--exponents", "1 2"]
+            "--points", "12", "--fit", "--exponents", "1 2"]
     for fmt in ("csv", "json"):
         assert cli.main(args + ["--format", fmt, "--output", str(tmp_path / fmt)]) == 0
     (csv_dir,) = (tmp_path / "csv").iterdir()

@@ -46,7 +46,7 @@ from .acceptance import acceptance_suite
 
 SCHEMA_VERSION = 1
 #: result fields the manifest repeats: how an estimate was obtained
-SAMPLING = ("method", "scrambles", "n_samples", "s_moment")
+SAMPLING = ("method", "scrambles", "n_samples", "s_moment", "terms")
 #: output formats; csv only for the experiments whose results are rows
 FORMATS = ("json", "csv")
 ROWS = ("sample", "moments", "kernel", "schedule", "trace")

@@ -13,20 +13,26 @@ with
 where I_j is the ordered simplex 0 < lam_j < ... < lam_1 < 1,
 C_{d,alpha} = pi^{d/2} / p_1^{(alpha)}(0), and L_j is a nonnegative random
 quadratic form in the partial sums gamma_k = theta_1 + ... + theta_k weighted
-by the subordinator increments.  This module evaluates L_j, estimates the
-C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N by randomized
-quasi-Monte Carlo (closed Gamma-function forms of K1/K2/K3 at alpha = 2),
-and generates exponent schedules with their validity conditions.
+by the subordinator increments.  This module holds L_j as a table of
+C(j, 2) terms, each an increment pair times a quadratic form in theta,
+estimates the C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N
+by randomized quasi-Monte Carlo (closed Gamma-function forms of K1/K2/K3
+at alpha = 2), and generates exponent schedules with their validity
+conditions.
 
 Both estimators run through one engine, _mc_estimate: each estimator
 declares the column widths of its samplers (_sorted_simplex,
 increments_batch, the potential's proposal_sample), every block of
 scrambled Sobol points is split once by those widths, and each sampler
-transforms its own columns and refuses any other count.  The C_{0,j}
-estimates draw theta alone: S_1 is independent of theta there, and its
-moment E[S_1^{-d/2}] is taken in closed form (conditioning on S_1).  SCRAMBLES
-independent scrambles of ceil(n / SCRAMBLES) points each are averaged, and
-the stderr is the spread of the scramble means.
+transforms its own columns and refuses any other count.  The increments
+do not depend on theta, so C_{n,j} averages the increment factor and the
+theta factor of each product of n terms of L_j apart, over their own
+columns of one scramble, and multiplies the two means; the scramble draws
+each coordinate independently, so the product is unbiased.  The C_{0,j}
+estimates draw theta alone: their increment factor S_1^{-d/2} is taken in
+closed form as E[S_1^{-d/2}].  SCRAMBLES independent scrambles of
+ceil(n / SCRAMBLES) points each are averaged, and the stderr is the spread
+of the scramble values.
 That stderr holds also where the integrand's fourth moment is infinite
 (K1 at d = 1), but it needs a finite variance (not K2 at d <= 2).
 """
@@ -100,26 +106,40 @@ def c_d_alpha(d: int, alpha: float) -> float:
 # L_j functional
 
 
-def _lj_batch(heads, incs, totals, thetas):
-    """L_j for a batch of increments and theta vectors, by the expanded form.
+def _pairs(j):
+    """The C(j, 2) terms (a, b), a < b < j, of S_1 L_j, in a fixed order.
 
-    L_j = S_1^{-1} [ head * sum_k inc_k |gamma_k|^2
-                     + sum_{r<s} inc_r inc_s |gamma_r - gamma_s|^2 ],
+    With the increments X = (head, inc_1, ..., inc_{j-1}) and the partial
+    sums Gamma = (0, gamma_1, ..., gamma_{j-1}),
+
+        S_1 L_j = sum_{(a, b)} X_a X_b |Gamma_a - Gamma_b|^2
+                = head * sum_k inc_k |gamma_k|^2 + sum_{r<s} inc_r inc_s |gamma_r - gamma_s|^2,
+
     a sum of nonnegative terms, immune to the cancellation of the compact
     form sum_k inc_k |gamma_k|^2 - |sum_k inc_k gamma_k|^2 / S_1 near
-    degenerate lambda.  Shapes: heads and totals (n,), incs (n, j-1),
-    thetas (n, j-1, d); returns (n,).
+    degenerate lambda.
     """
-    jm1, d = thetas.shape[1], thetas.shape[2]
+    return list(itertools.combinations(range(j), 2))
 
-    def norm2(x):
-        return _add([x[:, c] ** 2 for c in range(d)])
 
-    gam = list(itertools.accumulate(thetas[:, k] for k in range(jm1)))
-    val = heads * _add([incs[:, k] * norm2(gam[k]) for k in range(jm1)])
-    for r in range(jm1 - 1):
-        val += _add([incs[:, r] * incs[:, s] * norm2(gam[r] - gam[s]) for s in range(r + 1, jm1)])
-    return val / totals
+def _lj_forms(thetas):
+    """|Gamma_a - Gamma_b|^2 for each term (a, b) of _pairs(j): thetas (n, j-1, d), each (n,)."""
+    gam = [0.0, *itertools.accumulate(thetas[:, k] for k in range(thetas.shape[1]))]
+    forms = []
+    for a, b in _pairs(len(gam)):
+        diff = gam[b] - gam[a]
+        forms.append(_add([diff[:, c] ** 2 for c in range(thetas.shape[2])]))
+    return forms
+
+
+def _multisets(j, n):
+    """Each multiset of n terms of _pairs(j), as indices, with its multinomial count.
+
+    (S_1 L_j)^n = sum_M count_M prod_{t in M} X_{a_t} X_{b_t} |Gamma_{a_t} - Gamma_{b_t}|^2;
+    n = 0 is the one empty multiset.
+    """
+    return [(m, math.factorial(n) // math.prod(math.factorial(m.count(t)) for t in set(m)))
+            for m in itertools.combinations_with_replacement(range(j * (j - 1) // 2), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +177,18 @@ def _sorted_simplex(x):
     return out
 
 
-def _mc_estimate(sample_fn, widths, n_samples, scale, params, rng) -> Estimate:
-    """scale times the mean of sample_fn over SCRAMBLES scrambled Sobol nets.
+def _mc_estimate(sample_fn, combine, widths, n_samples, scale, params, rng) -> Estimate:
+    """scale times the mean over SCRAMBLES scrambled Sobol nets of combine(net means).
 
     Each scramble of ceil(n_samples / SCRAMBLES) points in sum(widths)
     dimensions is generated and evaluated on its own, at most _CHUNK points
     at a time: the block is split into consecutive columns of the given
-    widths, and sample_fn receives one (points, width) view per width.  The
-    value is the mean of the scramble means and the stderr their standard
-    deviation over sqrt(SCRAMBLES).
+    widths, and sample_fn receives one (points, width) view per width and
+    returns its values at those points, or sums of them, along the last
+    axis.  combine maps the means of those values over the whole scramble
+    to the scramble's value (float: the one mean itself).  The value is the mean of
+    the scramble values and the stderr their standard deviation over
+    sqrt(SCRAMBLES).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples={n_samples} must be >= 1")
@@ -178,8 +201,8 @@ def _mc_estimate(sample_fn, widths, n_samples, scale, params, rng) -> Estimate:
         for start in range(0, m, _CHUNK):
             # the previous block stays referenced until this one exists
             points = net.stream(start, min(_CHUNK, m - start))
-            total += sample_fn(*np.split(points.T, bounds[:-1], axis=1)).sum()
-        means[r] = total / m
+            total = total + sample_fn(*np.split(points.T, bounds[:-1], axis=1)).sum(axis=-1)
+        means[r] = combine(total / m)
     return Estimate(float(scale * means.mean()),
                     float(scale * means.std(ddof=1) / math.sqrt(SCRAMBLES)),
                     SCRAMBLES * m, dict(params, method="rqmc", scrambles=SCRAMBLES))
@@ -223,7 +246,7 @@ def mc_constant_K(
 
     # j simplex columns, then (U, E) for each of j increments below alpha = 2
     widths = (j, 2 * j if alpha < 2.0 else 0)
-    return _mc_estimate(sample_fn, widths, n_samples, vol,
+    return _mc_estimate(sample_fn, float, widths, n_samples, vol,
                         {"which": which, "d": d, "alpha": alpha}, rng)
 
 
@@ -302,17 +325,31 @@ def mc_coefficient_Cnj(
 
     lam is uniform on the simplex I_j; each theta_i is drawn from the
     normalized envelope of |Vhat| (exact for the Gaussian family); the
-    estimator carries the sign and phase through the product
+    weight w(theta) carries the sign and phase through the product
     Vhat(-(theta_1+..+theta_{j-1})) * prod_i Vhat(theta_i) divided by the
     proposal density.  Every draw is an inverse transform of scrambled Sobol
     points, at most 32 dimensions: j + 2j (alpha < 2) + (j-1)(d + 1 for a
-    mixture) for n >= 1.  At n = 0, L_j^0 = 1 and S_1 is independent of
-    theta, so S_1^{-d/2} is integrated exactly, E[S_1^{-d/2}] =
-    stable_moment(alpha, -d/2), and only the (j-1)(d + 1 for a mixture)
-    theta columns are drawn (params["s_moment"] == "exact").  The estimate
-    then tends to int V^j / j!, the convention gate for all (2 pi) powers,
-    the simplex volume 1/j! and the product C_{d,alpha} E[S_1^{-d/2}] =
-    (2 pi)^d of two independent closed forms.
+    mixture) for n >= 1.
+
+    The increments do not depend on theta.  Over the multisets M of n terms
+    of _pairs(j), S_1^{-d/2} L_j^n = S_1^{-(n+d/2)} (S_1 L_j)^n is
+    sum_M count_M x_M y_M with the increment factor
+    x_M = prod_{t in M} X_{a_t} X_{b_t} * S_1^{-(n+d/2)} and the theta factor
+    y_M = prod_{t in M} |Gamma_{a_t} - Gamma_{b_t}|^2 * w(theta).  Each
+    scramble's value is sum_M count_M mean(x_M) mean(y_M), each mean over
+    the whole scramble and its own columns.  A scramble draws every
+    coordinate's matrix and shift independently, so the two means are
+    independent and their product is unbiased for E[x_M] E[y_M]; averaging
+    the factors apart keeps the roughness of each out of the other's
+    variance.  params["terms"] is the number of multisets.
+
+    At n = 0 the one multiset is empty and x = S_1^{-d/2} is integrated
+    exactly, E[S_1^{-d/2}] = stable_moment(alpha, -d/2): only the
+    (j-1)(d + 1 for a mixture) theta columns are drawn
+    (params["s_moment"] == "exact").  The estimate then tends to
+    int V^j / j!, the convention gate for all (2 pi) powers, the simplex
+    volume 1/j! and the product C_{d,alpha} E[S_1^{-d/2}] = (2 pi)^d of two
+    independent closed forms.
     """
     if j < 2:
         raise ValueError("j must be >= 2 (the j = 1 term is -t int V)")
@@ -325,7 +362,9 @@ def mc_coefficient_Cnj(
         # nothing to sample: every C_{n,j} of the zero potential is exactly 0
         return Estimate(0.0, 0.0, 0, params={"n": n, "j": j, "d": d, "alpha": alpha,
                                               "method": "zero_potential"})
-    params = {"n": n, "j": j, "d": d, "alpha": alpha}
+    terms = _multisets(j, n)
+    counts = np.array([count for _, count in terms], dtype=float)
+    params = {"n": n, "j": j, "d": d, "alpha": alpha, "terms": len(terms)}
     # per theta d normals and, when there are several components, a pick
     widths = ((j - 1) * (d + (len(V.c) > 1)),)
     s_moment = 1.0
@@ -339,23 +378,37 @@ def mc_coefficient_Cnj(
     pref = c_d_alpha(d, alpha) * s_moment / (
         (2.0 * math.pi) ** (j * d) * math.factorial(n) * math.factorial(j)
     )
+    pairs = _pairs(j)
 
     def sample_fn(*columns):
-        # every draw of the chunk first; then the integrand one cache-sized
-        # row block at a time
+        # every draw of the chunk first; then, one cache-sized row block at a
+        # time, the theta weights at n = 0 (the empty multiset's theta
+        # factor), or the block sums of each multiset's two factors
         th = V.proposal_sample(columns[-1], j - 1)
-        if n > 0:
-            heads, incs, totals = _increments(alpha, *columns[:2])
-        f = np.empty(th.shape[0])
-        for b in _row_blocks(th.shape[0]):
-            w = V.theta_weight(th[b])
-            if n > 0:
-                ljn = _lj_batch(heads[b], incs[b], totals[b], th[b]) ** n
-                w = totals[b] ** (-d / 2.0) * ljn * w
-            f[b] = w
+        blocks = list(_row_blocks(th.shape[0]))
+        if n == 0:
+            f = np.empty(th.shape[0])
+            for rows in blocks:
+                f[rows] = V.theta_weight(th[rows])
+            return f
+        heads, incs, totals = _increments(alpha, *columns[:2])
+        f = np.empty((2, len(terms), len(blocks)))
+        for b, rows in enumerate(blocks):
+            # each factor as its values per term and the weight they multiply
+            x = [heads[rows], *incs[rows].T]
+            factors = (([x[p] * x[q] for p, q in pairs], totals[rows] ** -(n + d / 2.0)),
+                       (_lj_forms(th[rows]), V.theta_weight(th[rows])))
+            for out, (values, weight) in zip(f, factors):
+                for i, (m, _) in enumerate(terms):
+                    out[i, b] = math.prod((values[t] for t in m), start=weight).sum()
         return f
 
-    return _mc_estimate(sample_fn, widths, n_samples, pref, params, rng)
+    def combine(means):
+        # products of the factors' means over the whole scramble
+        return float(counts @ means.prod(axis=0))
+
+    return _mc_estimate(sample_fn, combine if n > 0 else float, widths, n_samples, pref,
+                        params, rng)
 
 
 # ---------------------------------------------------------------------------

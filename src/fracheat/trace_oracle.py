@@ -265,6 +265,8 @@ def trace_difference_curve(V, alpha: float, grid: SpectralGrid, t_grid) -> Trace
     spectrum, so that the sizes times the multiplicities sum to (N-1)^d.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("t_grid is empty: a trace curve needs at least one t value")
     if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
         raise ValueError("t values must lie in (0, 1)")
     free = free_multipliers(grid, alpha)

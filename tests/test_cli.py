@@ -293,17 +293,19 @@ MC_1000 = {"method": "mc", "n_samples": 1000}
 
 @pytest.mark.parametrize("args, want", [
     (["coeff", "--n-index", "1", "--j", "2", "--alpha", "1.8", "--potential",
-      "gaussian:c=1,s=1", "--samples", "1000"], RQMC_1000),
+      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, terms=1)),
+    (["coeff", "--n-index", "1", "--j", "3", "--alpha", "1.8", "--potential",
+      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, terms=3)),
     (["coeff", "--n-index", "0", "--j", "2", "--alpha", "1.8", "--potential",
-      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, s_moment="exact")),
+      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, s_moment="exact", terms=1)),
     (["constants", "--which", "L", "--alpha", "1.8", "--n", "1000"], RQMC_1000),
     (["relativistic", "--alpha", "1.0", "--m", "1.0", "--samples", "1000"], MC_1000),
     (["mixed", "--d", "2", "--alpha", "0.8", "--beta", "1.6", "--a", "1.0",
       "--samples", "1000"], MC_1000),
-], ids=["coeff", "coeff n=0", "constants", "relativistic", "mixed"])
+], ids=["coeff", "coeff j=3", "coeff n=0", "constants", "relativistic", "mixed"])
 def test_estimate_records_sampling(tmp_path, args, want):
     # payload and manifest carry the method, the scrambles of an RQMC
-    # estimate and the number of points evaluated
+    # estimate, the number of points evaluated and a coefficient's terms
     assert run_cli(args + ["--seed", "0"], tmp_path) == 0
     payload = _read_result(tmp_path)
     assert {k: payload[k] for k in want} == want
@@ -450,6 +452,14 @@ def test_failed_run_leaves_no_directory(tmp_path):
     code = cli.main(["sample", "--family", "relativistic", "--alpha", "1", "--n", "10",
                      "--output", str(out)])
     assert code == 4
+    assert not out.exists()
+
+
+def test_trace_without_points_refused_by_name(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["trace", "--d", "1", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1",
+                     "--n-modes", "64", "--points", "0", "--output", str(out)]) == 4
+    assert "t_grid is empty" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -22,11 +22,19 @@ def rng(seed=0):
 # L_j functional
 
 
+def _lj(heads, incs, totals, th):
+    # L_j from the term table: sum over the terms (a, b) of
+    # X_a X_b |Gamma_a - Gamma_b|^2, over S_1
+    x = [heads, *incs.T]
+    pairs = coeff._pairs(len(x))
+    return sum(x[a] * x[b] * q for (a, b), q in zip(pairs, coeff._lj_forms(th))) / totals
+
+
 def _lj_one(part, thetas):
     # L_j of one (head, incs, total) from sample_increments, as a batch of one
     head, incs, total = part
     th = np.asarray(thetas, dtype=float).reshape(1, incs.size, -1)
-    return float(coeff._lj_batch(np.array([head]), incs[None, :], np.array([total]), th)[0])
+    return float(_lj(np.array([head]), incs[None, :], np.array([total]), th)[0])
 
 
 def test_lj_zero_thetas():
@@ -64,13 +72,23 @@ def test_lj_forms_agree_and_bounds(j, d):
     heads, incs, totals = sub.increments_batch(
         1.2, lam, r.uniform(0.0, np.pi, lam.shape), r.standard_exponential(lam.shape))
     th = r.normal(size=(2500, j - 1, d))
-    expanded = coeff._lj_batch(heads, incs, totals, th)
+    expanded = _lj(heads, incs, totals, th)
     compact = np.array([_lj_compact_exact(*case) for case in zip(heads, incs, th)])
     assert np.all(expanded >= 0.0)
     scale = np.maximum(np.maximum(np.abs(expanded), np.abs(compact)), 1e-30)
     assert np.all(np.abs(expanded - compact) / scale < 1e-10)
     gam2 = (np.cumsum(th, axis=1) ** 2).sum(axis=(1, 2))
     assert np.all(expanded <= totals * gam2 * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("j,n,count", [(2, 0, 1), (2, 2, 1), (3, 1, 3), (3, 2, 6), (4, 2, 21)])
+def test_multisets_expand_the_power(j, n, count):
+    # sum_M count_M prod_{t in M} z_t = (sum_t z_t)^n over the C(j, 2) terms
+    terms = coeff._multisets(j, n)
+    assert len(terms) == count and len(set(m for m, _ in terms)) == count
+    z = rng(j + n).uniform(0.5, 2.0, (j * (j - 1) // 2, 8))
+    got = sum(c * math.prod((z[t] for t in m), start=np.ones(8)) for m, c in terms)
+    assert got == pytest.approx(z.sum(axis=0) ** n, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +189,7 @@ def test_sorted_simplex_equals_sort(j):
 # are both exercised.
 PINNED_N = 2**20 + 3 * 2**14 + 77
 PINNED_K3 = (0.0374793750788755, 2.421688375271626e-06)
-PINNED_C12 = (0.14447280165274018, 2.4288079373144564e-05)
+PINNED_C12 = (0.1444382859504433, 9.24885059140416e-06)
 
 
 def test_same_seed_same_estimates():
@@ -192,7 +210,7 @@ def test_same_seed_same_estimates():
 PINNED_PATHS = {
     "C13 gaussian d=1 alpha=1.8": (
         lambda: (GaussianPotential(1.0, 1.0), 1, 3, 1, 1.8, 16180),
-        (0.05095114483277137, 1.571332017745516e-05)),
+        (0.05096139241979624, 4.004712641638464e-06)),
     "C03 mixture d=1 alpha=1.8": (
         lambda: (GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3]), 0, 3, 1, 1.8,
                  14142),
@@ -200,7 +218,7 @@ PINNED_PATHS = {
     "C12 mixture d=2 alpha=1.5": (
         lambda: (GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [[0.0, 0.0], [1.0, 0.3]], d=2),
                  1, 2, 2, 1.5, 17320),
-        (0.1397897601121333, 8.416103220027426e-05)),
+        (0.13978310827912638, 1.6473858424208652e-05)),
 }
 
 
@@ -245,6 +263,13 @@ def test_scramble_blocks_match_whole_scrambles(monkeypatch):
     blocked = coeff.mc_coefficient_Cnj(v, 1, 3, 1, 1.8, n, rng(3))
     assert blocked.value == pytest.approx(whole.value, rel=1e-12)
     assert blocked.stderr == pytest.approx(whole.stderr, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,j,terms", [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 3), (2, 3, 6)])
+def test_cnj_records_its_terms(n, j, terms):
+    # the multisets of n of the C(j, 2) terms of S_1 L_j whose factors are averaged
+    est = coeff.mc_coefficient_Cnj(OFF_CENTRE, n, j, 1, 1.8, 4096, rng(8))
+    assert est.params["terms"] == terms
 
 
 def test_point_dimension_limit_named():
@@ -320,6 +345,7 @@ def _exact_l_dirichlet(alpha):
 
 
 OFF_CENTRE = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
+CENTRED_3D = GaussianPotential(1.0, 1.0, center=(0.0, 0.0, 0.0))
 
 # Coverage of the scramble-based stderr over 20 scramble seeds, with the
 # thresholds fixed before the first run: every |z| <= 4, and at most 2 of 20
@@ -338,6 +364,15 @@ COVERAGE = {
     "C_03 mixture alpha=1.8": (
         lambda n, r: coeff.mc_coefficient_Cnj(OFF_CENTRE, 0, 3, 1, 1.8, n, r),
         lambda: OFF_CENTRE.integral_power(3) / 6.0),
+    "C_13 mixture alpha=1.8": (
+        lambda n, r: coeff.mc_coefficient_Cnj(OFF_CENTRE, 1, 3, 1, 1.8, n, r),
+        lambda: 2.0 * coeff.c_d_alpha(1, 1.8) * coeff.deterministic_constant_K("K3", 1, 1.8)
+        / (2.0 * math.pi) * OFF_CENTRE.weighted_gradient()),
+    # finite variance: alpha > 2n - d
+    "C_22 gaussian d=3 alpha=1.5": (
+        lambda n, r: coeff.mc_coefficient_Cnj(CENTRED_3D, 2, 2, 3, 1.5, n, r),
+        lambda: coeff.c_d_alpha(3, 1.5) * coeff.deterministic_constant_K("K2", 3, 1.5)
+        / (2.0 * (2.0 * math.pi) ** 3) * CENTRED_3D.biharmonic_energy()),
 }
 
 

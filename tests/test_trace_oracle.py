@@ -305,6 +305,10 @@ def test_t_grid_validation():
     grid = oracle.SpectralGrid(1, 20.0, 64)
     with pytest.raises(ValueError):
         oracle.trace_difference_curve(WELL, 1.0, grid, [0.5, 1.5])
+    # an empty grid has no largest t to match the free trace at
+    for route in (oracle.trace_difference_curve, oracle.extrapolated_trace_curve):
+        with pytest.raises(ValueError, match="t_grid is empty"):
+            route(WELL, 1.0, grid, [])
 
 
 def test_convergence_gates_small():

@@ -112,13 +112,15 @@ def _key(flag: str) -> str:
 ALPHA = Param("--alpha", float, help="stability index alpha")
 D = Param("--d", int, 1, "dimension")
 POTENTIAL = Param("--potential", str, help="gaussian:c=1,s=1[,x0=0.5], ';' between bumps")
-SAMPLES = Param("--samples", int, 10**6, "Monte Carlo samples")
-MC_N = Param("--n", int, 10**6, "Monte Carlo samples")
+#: 2^20 = SCRAMBLES * 2^15: each of the estimators' scrambles is a whole Sobol net
+SAMPLES = Param("--samples", int, 2**20, "Monte Carlo samples")
+MC_N = Param("--n", int, 2**20, "Monte Carlo samples")
 MASS = Param("--m", float, help="mass (relativistic)")
 BETA = Param("--beta", float, help="second index (mixed)")
 WEIGHT = Param("--a", float, help="weight of the second index (mixed)")
 #: the randomized quasi-Monte Carlo estimators evaluate whole scrambles
-ROUNDED = f"; rounded up to a multiple of {coeff.SCRAMBLES} scrambled Sobol points"
+ROUNDED = (f"; rounded up to a multiple of {coeff.SCRAMBLES} scrambled Sobol points, "
+           f"whole nets at {coeff.SCRAMBLES}*2^k")
 
 #: subcommand -> (help, parameters)
 PARAMS = {

@@ -34,7 +34,10 @@ closed form as E[S_1^{-d/2}].  SCRAMBLES independent scrambles of
 ceil(n / SCRAMBLES) points each are averaged, and the stderr is the spread
 of the scramble values.
 That stderr holds also where the integrand's fourth moment is infinite
-(K1 at d = 1), but it needs a finite variance (not K2 at d <= 2).
+(K1 at d = 1), but it needs a finite variance.  An increment factor
+carrying L_j^n, n >= 1, has one below alpha = 2 only where alpha > 2n - d:
+mc_coefficient_Cnj refuses the other C_{n,j}, while mc_constant_K still
+admits K2 at d <= 2, whose variance is infinite there.
 """
 
 from __future__ import annotations
@@ -343,6 +346,10 @@ def mc_coefficient_Cnj(
     the factors apart keeps the roughness of each out of the other's
     variance.  params["terms"] is the number of multisets.
 
+    Below alpha = 2, x_M has a finite variance only where alpha > 2n - d,
+    so an n >= 1 outside it is refused with a ValueError naming that
+    condition, after the validity check of the Taylor order n.
+
     At n = 0 the one multiset is empty and x = S_1^{-d/2} is integrated
     exactly, E[S_1^{-d/2}] = stable_moment(alpha, -d/2): only the
     (j-1)(d + 1 for a mixture) theta columns are drawn
@@ -358,6 +365,11 @@ def mc_coefficient_Cnj(
     if V.d != d:
         raise ValueError(f"potential dimension {V.d} != d={d}")
     _require_order(n, d, alpha, f"C_{{{n},{j}}}")
+    if alpha < 2.0 and alpha <= 2 * n - d:
+        raise ValueError(
+            f"C_{{{n},{j}}}: the increment factor prod X_a X_b S_1^-(n+d/2) has infinite "
+            f"variance unless alpha > 2n - d = {2 * n - d}, got alpha={alpha} at d={d}"
+        )
     if V.proposal_mass == 0.0:
         # nothing to sample: every C_{n,j} of the zero potential is exactly 0
         return Estimate(0.0, 0.0, 0, params={"n": n, "j": j, "d": d, "alpha": alpha,

@@ -13,7 +13,9 @@ isotropic, with each permutation of the axes: it is solved in the blocks of
 that symmetry group (even and odd at d = 1; the square's five distinct
 blocks at d = 2, one of them standing for two isospectral ones), real
 symmetric and assembled one at a time from the table; H is formed, and
-solved as one dense Hermitian matrix, only for an off-centre V.  Then
+solved as one dense Hermitian matrix, only for an off-centre V.  Each block
+is solved in its own memory and dropped before the next is built, so the
+peak holds one block, not a block and its copy.  Then
 
     curve(t) = Tr(exp(-t H_V)) - Tr(exp(-t H_alpha))
 
@@ -37,7 +39,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 from .coefficients import ExponentSchedule
 from .heat_kernel import kernel_at_zero
@@ -194,12 +196,18 @@ def _sectors(grid: SpectralGrid, alpha: float, V):
             S[(slice(None),) * (d + ax) + (0,)] *= math.sqrt(0.5)
         diag = mult[tuple(slice(m + o, None) for o in odd)]
         mirrors = len(set(itertools.permutations(odd)))
-        # two axes of one parity: the swap maps the sector to itself
-        for B, free in _swap_blocks(S, diag) if len(set(odd)) < d else [(S, diag)]:
+        # two axes of one parity: the swap maps the sector to itself; the
+        # sector's 4-D array goes once its swap blocks exist
+        blocks = _swap_blocks(S, diag) if len(set(odd)) < d else [(S, diag)]
+        del S
+        while blocks:
+            B, free = blocks.pop(0)
             n = free.size
             B = B.reshape(n, n)
             B.ravel()[:: n + 1] += free.ravel()
             yield B, mirrors
+            # the caller has solved B: drop it before the next block exists
+            del B
 
 
 def _swap_blocks(S, diag):
@@ -209,6 +217,11 @@ def _swap_blocks(S, diag):
     block is D (S[P, Q] + S[P, Q']) D on a <= b, p <= q, with D = 1/sqrt 2 on
     the pairs a = b, and the swap-odd block is S[P, Q] - S[P, Q'] on a < b,
     p < q.  Returns each block with its free multipliers diag[a, b].
+
+    The blocks are symmetric only up to rounding.  Each is gathered
+    transposed, indexed [Q, P], so that its Fortran-ordered view, which
+    _eigvalsh_in_place solves, holds [P, Q] and LAPACK reads the lower
+    triangle P > Q.
     """
     n = diag.shape[0]
     flat = S.reshape(n * n, n * n)  # S[P, Q] with P = a n + b, Q = p n + q
@@ -216,7 +229,7 @@ def _swap_blocks(S, diag):
     for strict, combine in ((0, np.add), (1, np.subtract)):
         a, b = np.triu_indices(n, strict)  # a <= b, then a < b
         pairs, swapped = a * n + b, b * n + a
-        B = combine(flat[pairs[:, None], pairs], flat[pairs[:, None], swapped])
+        B = combine(flat[pairs, pairs[:, None]], flat[pairs, swapped[:, None]])
         if not strict:
             w = np.where(a == b, math.sqrt(0.5), 1.0)
             B *= w[:, None]
@@ -225,12 +238,33 @@ def _swap_blocks(S, diag):
     return blocks
 
 
+def _eigvalsh_in_place(B) -> np.ndarray:
+    """Ascending eigenvalues of the C-ordered real symmetric or Hermitian B, overwriting B.
+
+    LAPACK's ?syev/?heev run on B.T, the Fortran-ordered view of B's own
+    memory, and read its lower triangle, so no copy of B is made.  The view
+    is B itself for a real symmetric B and conj(B), with the same
+    eigenvalues, for a Hermitian one.  Like np.linalg.eigvalsh, no
+    finiteness scan is made.
+    """
+    return linalg.eigh(B.T, eigvals_only=True, overwrite_a=True, check_finite=False,
+                       driver="ev")
+
+
 def _block_spectra(grid: SpectralGrid, alpha: float, V) -> list:
-    """(ascending eigenvalues, multiplicity) of each block solved: a centred V's, else H's."""
+    """(ascending eigenvalues, multiplicity) of each block solved: a centred V's, else H's.
+
+    Each block is solved in its own memory and dropped before the next is
+    built, so one block is alive at a time.
+    """
     if np.any(V.x0):
-        return [(np.linalg.eigvalsh(build_hamiltonian(grid, alpha, V)), 1)]
+        return [(_eigvalsh_in_place(build_hamiltonian(grid, alpha, V)), 1)]
     _check_inputs(grid, alpha, V)
-    return [(np.linalg.eigvalsh(B), mirrors) for B, mirrors in _sectors(grid, alpha, V)]
+    spectra = []
+    for B, mirrors in _sectors(grid, alpha, V):
+        spectra.append((_eigvalsh_in_place(B), mirrors))
+        del B
+    return spectra
 
 
 def _union(blocks) -> np.ndarray:

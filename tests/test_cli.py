@@ -346,6 +346,20 @@ def test_coeff_validity_violation_named(tmp_path, capsys):
     assert "violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,d,alpha,code", [
+    ("2", "1", "1.9", 4), ("2", "2", "1.5", 4), ("1", "1", "0.9", 4), ("1", "1", "1.1", 0),
+    ("2", "3", "1.5", 0),
+])
+def test_coeff_infinite_variance_refused(tmp_path, capsys, n, d, alpha, code):
+    out = tmp_path / "out"
+    assert cli.main(["coeff", "--n-index", n, "--j", "2", "--d", d, "--alpha", alpha,
+                     "--potential", "gaussian:c=1,s=1", "--samples", "1024", "--seed", "0",
+                     "--output", str(out)]) == code
+    if code:
+        assert "infinite variance" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_trace_subcommand_with_fit(tmp_path):
     code = run_cli(
         ["trace", "--d", "1", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1",

@@ -267,8 +267,10 @@ def test_scramble_blocks_match_whole_scrambles(monkeypatch):
 
 @pytest.mark.parametrize("n,j,terms", [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 3), (2, 3, 6)])
 def test_cnj_records_its_terms(n, j, terms):
-    # the multisets of n of the C(j, 2) terms of S_1 L_j whose factors are averaged
-    est = coeff.mc_coefficient_Cnj(OFF_CENTRE, n, j, 1, 1.8, 4096, rng(8))
+    # the multisets of n of the C(j, 2) terms of S_1 L_j whose factors are
+    # averaged; n = 2 has a finite variance only where alpha > 4 - d
+    v, d, alpha = (OFF_CENTRE, 1, 1.8) if n < 2 else (CENTRED_3D, 3, 1.5)
+    est = coeff.mc_coefficient_Cnj(v, n, j, d, alpha, 4096, rng(8))
     assert est.params["terms"] == terms
 
 
@@ -458,6 +460,21 @@ def test_cnj_validity_rejection():
         coeff.mc_coefficient_Cnj(v, 2, 2, 1, 1.0, 100, rng())
     with pytest.raises(ValueError):
         coeff.mc_coefficient_Cnj(v, 0, 1, 1, 1.0, 100, rng())
+
+
+@pytest.mark.parametrize("n,d,alpha,refused", [
+    (2, 1, 1.9, True), (2, 2, 1.5, True), (1, 1, 0.9, True), (1, 1, 1.1, False),
+    (2, 3, 1.5, False),
+])
+def test_cnj_refuses_infinite_variance(n, d, alpha, refused):
+    # the increment factor prod X_a X_b S_1^-(n+d/2) of n >= 1 has a finite
+    # variance only where alpha > 2n - d; validate_params admits all five
+    v = GaussianPotential(1.0, 1.0, center=(0.0,) * d)
+    if refused:
+        with pytest.raises(ValueError, match=r"infinite variance unless alpha > 2n - d"):
+            coeff.mc_coefficient_Cnj(v, n, 2, d, alpha, 4096, rng(2))
+    else:
+        assert coeff.mc_coefficient_Cnj(v, n, 2, d, alpha, 4096, rng(2)).stderr > 0.0
 
 
 # ---------------------------------------------------------------------------

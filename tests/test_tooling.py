@@ -3,6 +3,9 @@
 import ast
 import pathlib
 
+from fracheat import cli
+from fracheat import coefficients as coeff
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracheat"
 
 #: function parameters with a default in src/fracheat
@@ -41,3 +44,14 @@ def test_exported_name_count_is_pinned():
     # a new export is public API to document, test and keep; raise the pin
     # only together with the name that needs it
     assert exported_names() == EXPORTED_NAMES
+
+
+def test_cli_sample_count_defaults_are_whole_sobol_nets():
+    # a default of SCRAMBLES * 2^k points gives each randomized quasi-Monte
+    # Carlo scramble a whole Sobol net; 10**6 gave each 31,250 points
+    defaults = {p.default for _, params in cli.PARAMS.values() for p in params
+                if p.help.startswith("Monte Carlo samples")}
+    assert defaults
+    for n in defaults:
+        per_scramble, rest = divmod(n, coeff.SCRAMBLES)
+        assert rest == 0 and per_scramble & (per_scramble - 1) == 0, n

@@ -274,30 +274,35 @@ def criterion_11_relativistic_mixed(seed) -> CriterionResult:
     rng = np.random.default_rng(seed)
     n = 10**6
     checks = []
-    # relativistic Laplace law and rejection acceptance rate
-    alpha, m, t = 1.0, 1.0, 0.5
-    spec_rel = sub.SubordinatorSpec.relativistic(alpha, m)
-    srel, proposals, accepted = sub.sample_relativistic(
-        alpha, m, t, rng, size=n, return_stats=True
-    )
-    for lam in (0.5, 1.0, 2.0, 5.0):
-        emp = hk.Estimate.of_samples(np.exp(-lam * srel), 1.0)
-        z = (emp.value - math.exp(-t * spec_rel.laplace_exponent(lam))) / emp.stderr
-        checks.append((abs(z) <= 4.0, f"relativistic lam={lam}: z={z:+.2f}"))
-    rate, want = accepted / proposals, math.exp(-m * t)
-    sigma = math.sqrt(want * (1.0 - want) / proposals)
-    checks.append(
-        (abs(rate - want) <= 3.0 * sigma,
-         f"acceptance rate {rate:.5f} vs e^-mt {want:.5f} ({abs(rate - want) / sigma:.2f} sigma)")
-    )
-    # mixed Laplace law
+    # relativistic Laplace laws at the unit mass and at masses whose tilt
+    # m^{2/alpha} is not m; the rejection acceptance rate at the first
+    for alpha, m, t in ((1.0, 1.0, 0.5), (1.5, 2.0, 0.5), (1.0, 3.0, 0.2)):
+        spec_rel = sub.SubordinatorSpec.relativistic(alpha, m)
+        srel, proposals, accepted = sub.sample_relativistic(
+            alpha, m, t, rng, size=n, return_stats=True
+        )
+        for lam in (0.5, 1.0, 2.0, 5.0):
+            emp = hk.Estimate.of_samples(np.exp(-lam * srel), 1.0)
+            z = (emp.value - math.exp(-t * spec_rel.laplace_exponent(lam))) / emp.stderr
+            checks.append((abs(z) <= 4.0, f"relativistic m={m} lam={lam}: z={z:+.2f}"))
+        if m == 1.0:
+            rate, want = accepted / proposals, math.exp(-m * t)
+            sigma = math.sqrt(want * (1.0 - want) / proposals)
+            checks.append(
+                (abs(rate - want) <= 3.0 * sigma,
+                 f"acceptance rate {rate:.5f} vs e^-mt {want:.5f} "
+                 f"({abs(rate - want) / sigma:.2f} sigma)")
+            )
+    # mixed Laplace laws at the unit weight and at weights whose scale
+    # a^{2/beta} is not a
+    for ab in ((0.8, 1.6, 1.0), (0.8, 1.6, 0.5), (1.2, 1.8, 3.0)):
+        spec_mix = sub.SubordinatorSpec.mixed(*ab)
+        smix = sub.sample_mixed(*ab, 1.0, rng, size=n)
+        for lam in (0.5, 1.0, 2.0, 5.0):
+            emp = hk.Estimate.of_samples(np.exp(-lam * smix), 1.0)
+            z = (emp.value - math.exp(-spec_mix.laplace_exponent(lam))) / emp.stderr
+            checks.append((abs(z) <= 4.0, f"mixed a={ab[2]} lam={lam}: z={z:+.2f}"))
     ab = dict(alpha=0.8, beta=1.6, a=1.0)
-    spec_mix = sub.SubordinatorSpec.mixed(**ab)
-    smix = sub.sample_mixed(ab["alpha"], ab["beta"], ab["a"], 1.0, rng, size=n)
-    for lam in (0.5, 1.0, 2.0, 5.0):
-        emp = hk.Estimate.of_samples(np.exp(-lam * smix), 1.0)
-        z = (emp.value - math.exp(-spec_mix.laplace_exponent(lam))) / emp.stderr
-        checks.append((abs(z) <= 4.0, f"mixed lam={lam}: z={z:+.2f}"))
     # mixed kernel at zero: p_t(0) t^{d/beta} bounded below along the t grid
     d = 2
     floor = 0.25 * hk.kernel_at_zero(d, ab["beta"])

@@ -46,7 +46,7 @@ from .acceptance import acceptance_suite
 
 SCHEMA_VERSION = 1
 #: result fields the manifest repeats: how an estimate was obtained
-SAMPLING = ("method", "scrambles", "n_samples", "s_moment", "terms")
+SAMPLING = ("method", "scrambles", "n_samples", "increments", "terms")
 #: output formats; csv only for the experiments whose results are rows
 FORMATS = ("json", "csv")
 ROWS = ("sample", "moments", "kernel", "schedule", "trace")
@@ -95,7 +95,8 @@ def _text(value) -> str:
 class Param(NamedTuple):
     """A parameter: flag, type, default (REQUIRED, None if optional) and help.
 
-    A boolean is a switch (``--fit``).
+    A boolean is a switch (``--fit``).  A dict default maps each d to the
+    default at that d.
     """
 
     flag: str
@@ -138,7 +139,8 @@ PARAMS = {
         Param("--which", str.upper, help="K1, K2, K3, L, M or N"), D, ALPHA,
         MC_N._replace(help=MC_N.help + ROUNDED),
         Param("--analytic", _boolean, False, "closed-form path (alpha = 2 only)"))),
-    "coeff": ("Monte Carlo expansion coefficient C_{n,j}(V)", (
+    "coeff": ("expansion coefficient C_{n,j}(V): exact increment factors, "
+              "randomized quasi-Monte Carlo over theta", (
         Param("--n-index", int, help="power n of L_j"), Param("--j", int, help="order j"),
         D, ALPHA, POTENTIAL, SAMPLES._replace(help=SAMPLES.help + ROUNDED))),
     "schedule": ("exponent matrix A_J(alpha), schedule entries, validity", (
@@ -146,7 +148,7 @@ PARAMS = {
         Param("--M", int, 2, "Taylor order M"), D)),
     "trace": ("spectral trace-difference curve; csv columns: t, raw, normalized", (
         D, ALPHA, POTENTIAL, Param("--L", float, 40.0, "half-width of the box"),
-        Param("--n-modes", int, 1024, "modes per axis"),
+        Param("--n-modes", int, {1: 1024, 2: 88}, "modes per axis"),
         Param("--tmin", float, 1e-3, "first time"), Param("--tmax", float, 1e-1, "last time"),
         Param("--points", int, 40, "number of times"),
         Param("--fit", _boolean, False, "fit the expansion"),
@@ -177,6 +179,11 @@ def _resolve(experiment: str, given: dict) -> dict:
     out = {}
     for key, p in table.items():
         value = given.get(key, p.default)
+        if isinstance(value, dict):
+            # d precedes every parameter whose default it chooses
+            if out["d"] not in value:
+                raise ValueError(f"{experiment}: no default {key} at d={out['d']}")
+            value = value[out["d"]]
         try:
             if value is not None:
                 out[key] = p.type(value)
@@ -557,7 +564,11 @@ def _parser() -> argparse.ArgumentParser:
     for name, (text, params) in PARAMS.items():
         sp = sps.add_parser(name, help=text, description=text)
         for p in params:
-            note = {REQUIRED: "required", None: "optional"}.get(p.default, f"default {p.default}")
+            if isinstance(p.default, dict):
+                note = "default " + ", ".join(f"{v} at d={k}" for k, v in p.default.items())
+            else:
+                note = {REQUIRED: "required", None: "optional"}.get(p.default,
+                                                                     f"default {p.default}")
             # an absent flag stays absent: the table fills in its default
             sp.add_argument(p.flag, dest=_key(p.flag), default=argparse.SUPPRESS,
                             action="store_true" if p.type is _boolean else "store",

@@ -15,29 +15,24 @@ C_{d,alpha} = pi^{d/2} / p_1^{(alpha)}(0), and L_j is a nonnegative random
 quadratic form in the partial sums gamma_k = theta_1 + ... + theta_k weighted
 by the subordinator increments.  This module holds L_j as a table of
 C(j, 2) terms, each an increment pair times a quadratic form in theta,
-estimates the C_{n,j} and the closed-family constants K1/K2/K3 and L/M/N
-by randomized quasi-Monte Carlo (closed Gamma-function forms of K1/K2/K3
-at alpha = 2), and generates exponent schedules with their validity
-conditions.
+takes each term product's increment factor in closed form
+(_increment_moment), estimates the C_{n,j} by randomized quasi-Monte Carlo
+over theta alone and the closed-family constants K1/K2/K3 and L/M/N by
+randomized quasi-Monte Carlo over the increments (the K also in closed
+form), and generates exponent schedules with their validity conditions.
 
 Both estimators run through one engine, _mc_estimate: each estimator
 declares the column widths of its samplers (_sorted_simplex,
 increments_batch, the potential's proposal_sample), every block of
 scrambled Sobol points is split once by those widths, and each sampler
 transforms its own columns and refuses any other count.  The increments
-do not depend on theta, so C_{n,j} averages the increment factor and the
-theta factor of each product of n terms of L_j apart, over their own
-columns of one scramble, and multiplies the two means; the scramble draws
-each coordinate independently, so the product is unbiased.  The C_{0,j}
-estimates draw theta alone: their increment factor S_1^{-d/2} is taken in
-closed form as E[S_1^{-d/2}].  SCRAMBLES independent scrambles of
-ceil(n / SCRAMBLES) points each are averaged, and the stderr is the spread
-of the scramble values.
-That stderr holds also where the integrand's fourth moment is infinite
-(K1 at d = 1), but it needs a finite variance.  An increment factor
-carrying L_j^n, n >= 1, has one below alpha = 2 only where alpha > 2n - d:
-mc_coefficient_Cnj refuses the other C_{n,j}, while mc_constant_K still
-admits K2 at d <= 2, whose variance is infinite there.
+do not depend on theta, so C_{n,j} is a sum over the products of n terms
+of L_j of an increment factor's expectation, which does not depend on V
+either and is exact, times a theta factor's mean.  SCRAMBLES independent
+scrambles of ceil(n / SCRAMBLES) points each are averaged, and the stderr
+is the spread of the scramble values.  That stderr holds also where the
+integrand's fourth moment is infinite (K1 at d = 1), but it needs a finite
+variance, which mc_constant_K's K2 at d <= 2 does not have.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ import numpy as np
 from .heat_kernel import Estimate, kernel_at_zero
 from .potential import _add
 from .sobol import ScrambledSobol
-from .subordinator import _row_blocks, _validate_alpha, increments_batch, stable_moment
+from .subordinator import _row_blocks, _validate_alpha, increments_batch
 
 __all__ = [
     "ScheduleEntry",
@@ -143,6 +138,47 @@ def _multisets(j, n):
     """
     return [(m, math.factorial(n) // math.prod(math.factorial(m.count(t)) for t in set(m)))
             for m in itertools.combinations_with_replacement(range(j * (j - 1) // 2), n)]
+
+
+def _increment_moment(m, j, n, d, alpha):
+    """E[x_M] = E[prod_{t in M} X_{a_t} X_{b_t} S_1^{-(n+d/2)}] in closed form, lam uniform on I_j.
+
+    M is a multiset of n terms of _pairs(j), as _multisets gives it, and
+    a_i the number of times increment i appears in it.  With rho = alpha/2
+    and s = n + d/2, x^{-s} = Gamma(s)^{-1} int u^{s-1} e^{-ux} du, and given
+    the time g_i of increment i (the head's is 1 - (lam_1 - lam_j)),
+
+        E[X_i^a e^{-u X_i}] = (-d/du)^a e^{-g_i u^rho}
+                            = e^{-g_i u^rho} sum_k c_{a,k} g_i^k u^{k rho - a},
+
+    c_{0,0} = 1, c_{a+1,k} = -(k rho - a) c_{a,k} + rho c_{a,k-1}.  The
+    exponentials multiply to e^{-u^rho}; the times are Dirichlet(2, 1, ..., 1),
+    E[prod g_i^{k_i}] = j! (k_0 + 1)! prod_{i>0} k_i! / (j + sum k_i)!; and
+    the u-integral is Gamma((s + p)/rho)/rho with p = sum_i (k_i rho - a_i).
+    At alpha = 2 only k = a survives: the increments are their times.  A
+    Gamma argument <= 0 is a divergent moment, refused with a ValueError.
+    """
+    rho, s, pairs = alpha / 2.0, n + d / 2.0, _pairs(j)
+    a = [0] * j
+    for t in m:
+        for i in pairs[t]:
+            a[i] += 1
+    c = [[1.0]]
+    for r in range(max(a)):
+        c.append([-(k * rho - r) * (c[r][k] if k <= r else 0.0) + (rho * c[r][k - 1] if k else 0.0)
+                  for k in range(r + 2)])
+    total = 0.0
+    for ks in itertools.product(*(range(ai + 1) for ai in a)):
+        coef = math.prod(c[ai][ki] for ai, ki in zip(a, ks))
+        if coef == 0.0:
+            continue
+        arg = (s + sum(ki * rho - ai for ai, ki in zip(a, ks))) / rho
+        if arg <= 0.0:
+            raise ValueError(f"E[x_M] diverges for M={m} at n={n}, d={d}, alpha={alpha}: "
+                             f"Gamma argument {arg:.6g} <= 0")
+        times = math.factorial(ks[0] + 1) * math.prod(map(math.factorial, ks[1:]))
+        total += coef * times * math.gamma(arg) / math.perm(j + sum(ks), sum(ks))
+    return total / (rho * math.gamma(s))
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +292,16 @@ def mc_constant_K(
 def deterministic_constant_K(which: str, d: int, alpha: float) -> float:
     """K1, K2 or K3 in closed form, wherever _k_validity admits (which, d, alpha).
 
-    x^{-s} = Gamma(s)^{-1} int u^{s-1} e^{-ux} du turns the simplex integrals
-    into Dirichlet moments and the u-integrals into Gamma functions; with
-    rho = alpha/2, s = 2 + d/2 and G(m) = Gamma((s + m rho - 4)/rho):
-
-        K1 = (alpha/24) Gamma(2 + (d-2)/alpha) / Gamma(1 + d/2),   K3 = K1/2,
-        K2 = [rho^4/60 G(4) - rho^3 (rho-1)/12 G(3) + rho^2 (rho-1)^2/12 G(2)] / (rho Gamma(s)).
-
-    At alpha = 2 these are 1/12, 1/60 and 1/24 for every d.
+    Each is the simplex volume times increment moments (_increment_moment):
+    K1 = E[x_(0)]/2 at j = 2, n = 1, K2 = E[x_(0,0)]/2 at j = 2, n = 2 and
+    K3 = sum_t E[x_(t)]/6 over the three terms at j = 3, n = 1.  At
+    alpha = 2 these are 1/12, 1/60 and 1/24 for every d.
     """
     _k_validity(which, d, alpha)
-    if which == "K2":
-        rho, s = alpha / 2.0, 2.0 + d / 2.0
-        g = lambda m: math.gamma((s + m * rho - 4.0) / rho)
-        return (rho**4 / 60.0 * g(4) - rho**3 * (rho - 1.0) / 12.0 * g(3)
-                + rho**2 * (rho - 1.0) ** 2 / 12.0 * g(2)) / (rho * math.gamma(s))
-    k1 = alpha / 24.0 * math.gamma(2.0 + (d - 2.0) / alpha) / math.gamma(1.0 + d / 2.0)
-    return k1 / 2.0 if which == "K3" else k1
+    if which == "K3":
+        return sum(_increment_moment((t,), 3, 1, d, alpha) for t in range(3)) / 6.0
+    n = 2 if which == "K2" else 1
+    return _increment_moment((0,) * n, 2, n, d, alpha) / 2.0
 
 
 def _scaled_constant(which, d, alpha, n_samples, rng, factor):
@@ -324,39 +353,28 @@ def constant_M(d, alpha, n_samples, rng) -> Estimate:
 def mc_coefficient_Cnj(
     V, n: int, j: int, d: int, alpha: float, n_samples: int, rng: np.random.Generator
 ) -> Estimate:
-    """Importance-sampled randomized quasi-Monte Carlo estimate of C_{n,j}(V).
-
-    lam is uniform on the simplex I_j; each theta_i is drawn from the
-    normalized envelope of |Vhat| (exact for the Gaussian family); the
-    weight w(theta) carries the sign and phase through the product
-    Vhat(-(theta_1+..+theta_{j-1})) * prod_i Vhat(theta_i) divided by the
-    proposal density.  Every draw is an inverse transform of scrambled Sobol
-    points, at most 32 dimensions: j + 2j (alpha < 2) + (j-1)(d + 1 for a
-    mixture) for n >= 1.
+    """Importance-sampled randomized quasi-Monte Carlo estimate of C_{n,j}(V), over theta alone.
 
     The increments do not depend on theta.  Over the multisets M of n terms
     of _pairs(j), S_1^{-d/2} L_j^n = S_1^{-(n+d/2)} (S_1 L_j)^n is
     sum_M count_M x_M y_M with the increment factor
     x_M = prod_{t in M} X_{a_t} X_{b_t} * S_1^{-(n+d/2)} and the theta factor
-    y_M = prod_{t in M} |Gamma_{a_t} - Gamma_{b_t}|^2 * w(theta).  Each
-    scramble's value is sum_M count_M mean(x_M) mean(y_M), each mean over
-    the whole scramble and its own columns.  A scramble draws every
-    coordinate's matrix and shift independently, so the two means are
-    independent and their product is unbiased for E[x_M] E[y_M]; averaging
-    the factors apart keeps the roughness of each out of the other's
-    variance.  params["terms"] is the number of multisets.
+    y_M = prod_{t in M} |Gamma_{a_t} - Gamma_{b_t}|^2 * w(theta).  E[x_M],
+    with lam uniform on I_j, is exact (_increment_moment;
+    params["increments"] == "exact"), and each scramble's value is
+    sum_M count_M E[x_M] mean(y_M); params["terms"] is the number of
+    multisets.
 
-    Below alpha = 2, x_M has a finite variance only where alpha > 2n - d,
-    so an n >= 1 outside it is refused with a ValueError naming that
-    condition, after the validity check of the Taylor order n.
+    Each theta_i is drawn from the normalized envelope of |Vhat| (exact for
+    the Gaussian family); the weight w(theta) carries the sign and phase
+    through the product Vhat(-(theta_1+..+theta_{j-1})) * prod_i Vhat(theta_i)
+    divided by the proposal density.  Every draw is an inverse transform of
+    scrambled Sobol points, (j-1)(d + 1 for a mixture) dimensions, at most 32.
 
-    At n = 0 the one multiset is empty and x = S_1^{-d/2} is integrated
-    exactly, E[S_1^{-d/2}] = stable_moment(alpha, -d/2): only the
-    (j-1)(d + 1 for a mixture) theta columns are drawn
-    (params["s_moment"] == "exact").  The estimate then tends to
-    int V^j / j!, the convention gate for all (2 pi) powers, the simplex
-    volume 1/j! and the product C_{d,alpha} E[S_1^{-d/2}] = (2 pi)^d of two
-    independent closed forms.
+    At n = 0 the one multiset is empty and E[x] = E[S_1^{-d/2}]: the
+    estimate then tends to int V^j / j!, the convention gate for all (2 pi)
+    powers, the simplex volume 1/j! and the product
+    C_{d,alpha} E[S_1^{-d/2}] = (2 pi)^d of two independent closed forms.
     """
     if j < 2:
         raise ValueError("j must be >= 2 (the j = 1 term is -t int V)")
@@ -365,62 +383,41 @@ def mc_coefficient_Cnj(
     if V.d != d:
         raise ValueError(f"potential dimension {V.d} != d={d}")
     _require_order(n, d, alpha, f"C_{{{n},{j}}}")
-    if alpha < 2.0 and alpha <= 2 * n - d:
-        raise ValueError(
-            f"C_{{{n},{j}}}: the increment factor prod X_a X_b S_1^-(n+d/2) has infinite "
-            f"variance unless alpha > 2n - d = {2 * n - d}, got alpha={alpha} at d={d}"
-        )
     if V.proposal_mass == 0.0:
         # nothing to sample: every C_{n,j} of the zero potential is exactly 0
         return Estimate(0.0, 0.0, 0, params={"n": n, "j": j, "d": d, "alpha": alpha,
                                               "method": "zero_potential"})
     terms = _multisets(j, n)
-    counts = np.array([count for _, count in terms], dtype=float)
-    params = {"n": n, "j": j, "d": d, "alpha": alpha, "terms": len(terms)}
-    # per theta d normals and, when there are several components, a pick
-    widths = ((j - 1) * (d + (len(V.c) > 1)),)
-    s_moment = 1.0
-    if n == 0:
-        # the integrand S_1^{-d/2} w(theta) has S_1 independent of theta
-        s_moment = stable_moment(alpha, -d / 2.0)
-        params["s_moment"] = "exact"
-    else:
-        # j simplex columns and (U, E) for each of j increments below alpha = 2
-        widths = (j, 2 * j if alpha < 2.0 else 0) + widths
-    pref = c_d_alpha(d, alpha) * s_moment / (
+    weights = np.array([count * _increment_moment(m, j, n, d, alpha) for m, count in terms])
+    params = {"n": n, "j": j, "d": d, "alpha": alpha, "terms": len(terms),
+              "increments": "exact"}
+    # the first weight scales the estimate once, after the scramble spread:
+    # a one-multiset estimate (C_{0,j}, C_{n,2}) is then its theta mean times a
+    # constant, with no rounding of each scramble value by the weight
+    pref = c_d_alpha(d, alpha) * weights[0] / (
         (2.0 * math.pi) ** (j * d) * math.factorial(n) * math.factorial(j)
     )
-    pairs = _pairs(j)
+    weights /= weights[0]
 
-    def sample_fn(*columns):
-        # every draw of the chunk first; then, one cache-sized row block at a
-        # time, the theta weights at n = 0 (the empty multiset's theta
-        # factor), or the block sums of each multiset's two factors
-        th = V.proposal_sample(columns[-1], j - 1)
+    def sample_fn(columns):
+        # every theta of the chunk first; then, one cache-sized row block at a
+        # time, the block sums of each multiset's theta factor
+        th = V.proposal_sample(columns, j - 1)
         blocks = list(_row_blocks(th.shape[0]))
-        if n == 0:
-            f = np.empty(th.shape[0])
-            for rows in blocks:
-                f[rows] = V.theta_weight(th[rows])
-            return f
-        heads, incs, totals = _increments(alpha, *columns[:2])
-        f = np.empty((2, len(terms), len(blocks)))
+        f = np.empty((len(terms), len(blocks)))
         for b, rows in enumerate(blocks):
-            # each factor as its values per term and the weight they multiply
-            x = [heads[rows], *incs[rows].T]
-            factors = (([x[p] * x[q] for p, q in pairs], totals[rows] ** -(n + d / 2.0)),
-                       (_lj_forms(th[rows]), V.theta_weight(th[rows])))
-            for out, (values, weight) in zip(f, factors):
-                for i, (m, _) in enumerate(terms):
-                    out[i, b] = math.prod((values[t] for t in m), start=weight).sum()
+            forms, weight = _lj_forms(th[rows]), V.theta_weight(th[rows])
+            for i, (m, _) in enumerate(terms):
+                f[i, b] = math.prod((forms[t] for t in m), start=weight).sum()
         return f
 
     def combine(means):
-        # products of the factors' means over the whole scramble
-        return float(counts @ means.prod(axis=0))
+        # the theta factors' means times the exact increment factors
+        return float(weights @ means)
 
-    return _mc_estimate(sample_fn, combine if n > 0 else float, widths, n_samples, pref,
-                        params, rng)
+    # per theta d normals and, when there are several components, a pick
+    widths = ((j - 1) * (d + (len(V.c) > 1)),)
+    return _mc_estimate(sample_fn, combine, widths, n_samples, pref, params, rng)
 
 
 # ---------------------------------------------------------------------------

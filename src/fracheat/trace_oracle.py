@@ -122,10 +122,19 @@ def _periodization_check(V, grid: SpectralGrid) -> None:
         )
 
 
-def _check_inputs(grid: SpectralGrid, alpha: float, V) -> None:
-    """The size, alpha, dimension and periodization checks of every solve."""
-    if grid.size > _MAX_DENSE:
-        raise ValueError(f"(N-1)^d = {grid.size} exceeds the dense-solve cap {_MAX_DENSE}")
+def _check_inputs(grid: SpectralGrid, alpha: float, V, dense: bool) -> None:
+    """The size, alpha, dimension and periodization checks of every solve.
+
+    The size cap applies to the largest matrix the solve forms: H when
+    dense, else the largest symmetry block of a centred V, (N/2) rows at
+    d = 1 and the (even, odd) sector's (N/2)(N/2 - 1) at d = 2.
+    """
+    m = grid.N // 2 - 1
+    block, rows = (("H", grid.size) if dense else
+                   ("the largest sector block", m + 1 if grid.d == 1 else (m + 1) * m))
+    if rows > _MAX_DENSE:
+        raise ValueError(f"{block} has {rows} rows at N={grid.N}, d={grid.d}, above the "
+                         f"dense-solve cap {_MAX_DENSE}")
     _validate_alpha(alpha)
     if V.d != grid.d:
         raise ValueError(f"potential dimension {V.d} != grid d={grid.d}")
@@ -152,7 +161,7 @@ def build_hamiltonian(grid: SpectralGrid, alpha: float, V) -> np.ndarray:
     the lattice differences, copied once.  Real symmetric for even real V,
     Hermitian otherwise (Vhat(-xi) = conj Vhat(xi) for real V).
     """
-    _check_inputs(grid, alpha, V)
+    _check_inputs(grid, alpha, V, True)
     # T[k - l] = win[k, N - 2 - l] per axis: the window axes reversed
     win = _table_windows(grid, V, grid.N - 1)
     toeplitz = win[(slice(None),) * grid.d + (slice(None, None, -1),) * grid.d]
@@ -259,7 +268,7 @@ def _block_spectra(grid: SpectralGrid, alpha: float, V) -> list:
     """
     if np.any(V.x0):
         return [(_eigvalsh_in_place(build_hamiltonian(grid, alpha, V)), 1)]
-    _check_inputs(grid, alpha, V)
+    _check_inputs(grid, alpha, V, False)
     spectra = []
     for B, mirrors in _sectors(grid, alpha, V):
         spectra.append((_eigvalsh_in_place(B), mirrors))

@@ -159,6 +159,27 @@ def _manifest(root):
     return json.loads((d / "manifest.json").read_text())
 
 
+def test_trace_d2_runs_at_its_defaults(tmp_path):
+    # d chooses the --n-modes default, resolved before the cache key: 88 at
+    # d = 2, whose largest sector block (1892 rows) is within the cap
+    assert run_cli(["trace", "--d", "2", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1"],
+                   tmp_path) == 0
+    meta = _read_result(tmp_path)["meta"]
+    assert meta["N"] == 88 and meta["block_sizes"] == [990, 946, 1892, 946, 903]
+    assert _manifest(tmp_path)["params"]["n_modes"] == "88"
+    d1 = cli.RunConfig("trace", {"alpha": "1.0", "potential": "gaussian:c=-1,s=1"})
+    assert d1.params["n_modes"] == 1024
+
+
+def test_trace_over_the_cap_refused_by_name(tmp_path, capsys):
+    # at d = 2, N = 256 the largest sector block has 127 * 128 rows
+    out = tmp_path / "out"
+    assert cli.main(["trace", "--d", "2", "--alpha", "1.0", "--potential", "gaussian:c=-1,s=1",
+                     "--n-modes", "256", "--output", str(out)]) == 4
+    assert "the largest sector block has 16256 rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_records_warnings(tmp_path):
     # scipy's QAWF warning in the d=1 kernel at (alpha, t, x) = (1.5, 0.1, 0.5)
     # reaches the manifest once with its count, and is still re-emitted
@@ -288,16 +309,17 @@ def test_constants_analytic_path(tmp_path):
 #: the RQMC estimators evaluate 1000 points rounded up to whole scrambles;
 #: the plain Monte Carlo p_t(0) estimators evaluate exactly 1000 samples
 RQMC_1000 = {"method": "rqmc", "scrambles": coeff.SCRAMBLES, "n_samples": 1024}
+COEFF_1000 = dict(RQMC_1000, increments="exact")
 MC_1000 = {"method": "mc", "n_samples": 1000}
 
 
 @pytest.mark.parametrize("args, want", [
     (["coeff", "--n-index", "1", "--j", "2", "--alpha", "1.8", "--potential",
-      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, terms=1)),
+      "gaussian:c=1,s=1", "--samples", "1000"], dict(COEFF_1000, terms=1)),
     (["coeff", "--n-index", "1", "--j", "3", "--alpha", "1.8", "--potential",
-      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, terms=3)),
+      "gaussian:c=1,s=1", "--samples", "1000"], dict(COEFF_1000, terms=3)),
     (["coeff", "--n-index", "0", "--j", "2", "--alpha", "1.8", "--potential",
-      "gaussian:c=1,s=1", "--samples", "1000"], dict(RQMC_1000, s_moment="exact", terms=1)),
+      "gaussian:c=1,s=1", "--samples", "1000"], dict(COEFF_1000, terms=1)),
     (["constants", "--which", "L", "--alpha", "1.8", "--n", "1000"], RQMC_1000),
     (["relativistic", "--alpha", "1.0", "--m", "1.0", "--samples", "1000"], MC_1000),
     (["mixed", "--d", "2", "--alpha", "0.8", "--beta", "1.6", "--a", "1.0",
@@ -346,18 +368,18 @@ def test_coeff_validity_violation_named(tmp_path, capsys):
     assert "violated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n,d,alpha,code", [
-    ("2", "1", "1.9", 4), ("2", "2", "1.5", 4), ("1", "1", "0.9", 4), ("1", "1", "1.1", 0),
-    ("2", "3", "1.5", 0),
+@pytest.mark.parametrize("n,d,alpha", [
+    ("2", "1", "1.9"), ("2", "2", "1.5"), ("1", "1", "0.9"), ("1", "1", "1.1"), ("2", "3", "1.5"),
 ])
-def test_coeff_infinite_variance_refused(tmp_path, capsys, n, d, alpha, code):
-    out = tmp_path / "out"
+def test_coeff_computes_where_a_sampled_increment_factor_has_infinite_variance(
+        tmp_path, n, d, alpha):
+    # alpha <= 2n - d in the first three cells; every increment factor is
+    # exact, so each cell runs and its manifest says so
     assert cli.main(["coeff", "--n-index", n, "--j", "2", "--d", d, "--alpha", alpha,
                      "--potential", "gaussian:c=1,s=1", "--samples", "1024", "--seed", "0",
-                     "--output", str(out)]) == code
-    if code:
-        assert "infinite variance" in capsys.readouterr().err
-        assert not out.exists()
+                     "--output", str(tmp_path)]) == 0
+    assert _read_result(tmp_path)["stderr"] > 0.0
+    assert _manifest(tmp_path)["sampling"]["increments"] == "exact"
 
 
 def test_trace_subcommand_with_fit(tmp_path):

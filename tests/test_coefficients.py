@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -189,7 +190,7 @@ def test_sorted_simplex_equals_sort(j):
 # are both exercised.
 PINNED_N = 2**20 + 3 * 2**14 + 77
 PINNED_K3 = (0.0374793750788755, 2.421688375271626e-06)
-PINNED_C12 = (0.1444382859504433, 9.24885059140416e-06)
+PINNED_C12 = (0.14443948279070334, 1.4787187809714562e-06)
 
 
 def test_same_seed_same_estimates():
@@ -210,7 +211,7 @@ def test_same_seed_same_estimates():
 PINNED_PATHS = {
     "C13 gaussian d=1 alpha=1.8": (
         lambda: (GaussianPotential(1.0, 1.0), 1, 3, 1, 1.8, 16180),
-        (0.05096139241979624, 4.004712641638464e-06)),
+        (0.05096306048627598, 9.853847642918597e-07)),
     "C03 mixture d=1 alpha=1.8": (
         lambda: (GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3]), 0, 3, 1, 1.8,
                  14142),
@@ -218,7 +219,7 @@ PINNED_PATHS = {
     "C12 mixture d=2 alpha=1.5": (
         lambda: (GaussianMixturePotential([1.0, -0.5], [1.0, 2.0], [[0.0, 0.0], [1.0, 0.3]], d=2),
                  1, 2, 2, 1.5, 17320),
-        (0.13978310827912638, 1.6473858424208652e-05)),
+        (0.139775382897391, 4.599083671055494e-06)),
 }
 
 
@@ -267,35 +268,36 @@ def test_scramble_blocks_match_whole_scrambles(monkeypatch):
 
 @pytest.mark.parametrize("n,j,terms", [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 3), (2, 3, 6)])
 def test_cnj_records_its_terms(n, j, terms):
-    # the multisets of n of the C(j, 2) terms of S_1 L_j whose factors are
-    # averaged; n = 2 has a finite variance only where alpha > 4 - d
+    # the multisets of n of the C(j, 2) terms of S_1 L_j, one theta factor each
     v, d, alpha = (OFF_CENTRE, 1, 1.8) if n < 2 else (CENTRED_3D, 3, 1.5)
     est = coeff.mc_coefficient_Cnj(v, n, j, d, alpha, 4096, rng(8))
     assert est.params["terms"] == terms
 
 
 def test_point_dimension_limit_named():
-    # j + 2j + (j-1)(d+1) uniforms per point at n >= 1: 39 at j = 7, d = 3
-    # with a mixture
+    # (j-1)(d+1) theta columns per point with a mixture at d = 3: 36 at
+    # j = 10 are refused, 24 at j = 7 run at every n
     v = GaussianMixturePotential([1.0, 0.5], [1.0, 2.0], np.zeros((2, 3)))
     with pytest.raises(ValueError, match="32"):
-        coeff.mc_coefficient_Cnj(v, 1, 7, 3, 1.5, 1000, rng())
+        coeff.mc_coefficient_Cnj(v, 1, 10, 3, 1.5, 1000, rng())
+    est = coeff.mc_coefficient_Cnj(v, 1, 7, 3, 1.5, 1000, rng())
+    assert est.params["terms"] == 21 and est.stderr > 0.0
 
 
 def test_c0j_draws_no_increments(monkeypatch):
-    # at n = 0, E[S_1^{-d/2}] is exact: neither lam nor an increment is drawn
+    # every increment factor is exact: no C_{n,j} at any n draws lam or an
+    # increment, while mc_constant_K still does
     def refuse(*args, **kwargs):
-        raise AssertionError("increments drawn at n = 0")
+        raise AssertionError("increments drawn")
 
     v = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
-    assert "s_moment" not in coeff.mc_coefficient_Cnj(v, 1, 2, 1, 1.8, 4096, rng(6)).params
     monkeypatch.setattr(coeff, "increments_batch", refuse)
-    for alpha in (1.2, 2.0):
-        est = coeff.mc_coefficient_Cnj(v, 0, 3, 1, alpha, 4096, rng(6))
-        assert est.params["s_moment"] == "exact"
+    for n, j, alpha in ((0, 3, 1.2), (0, 2, 2.0), (1, 2, 1.8), (1, 3, 2.0), (2, 2, 1.9)):
+        est = coeff.mc_coefficient_Cnj(v, n, j, 1, alpha, 4096, rng(6))
+        assert est.params["increments"] == "exact"
         assert est.params["method"] == "rqmc" and est.params["scrambles"] == coeff.SCRAMBLES
     with pytest.raises(AssertionError, match="increments drawn"):
-        coeff.mc_coefficient_Cnj(v, 1, 2, 1, 1.8, 4096, rng(6))
+        coeff.mc_constant_K("K1", 1, 1.8, 4096, rng(6))
 
 
 @pytest.mark.parametrize("v,d", [
@@ -311,8 +313,7 @@ def test_c0j_same_draws_at_every_alpha(v, d):
 
 
 def test_c0j_high_order_within_the_point_dimension_limit():
-    # (j-1)(d+1) = 24 theta columns at j = 7, d = 3 with a mixture, which the
-    # simplex and Kanter columns took to 39 before S_1 was integrated exactly
+    # (j-1)(d+1) = 24 theta columns at j = 7, d = 3 with a mixture
     v = GaussianMixturePotential([1.0, 0.5], [1.0, 2.0], np.zeros((2, 3)))
     est = coeff.mc_coefficient_Cnj(v, 0, 7, 3, 1.5, 1 << 18, rng(7))
     want = v.integral_power(7) / math.factorial(7)
@@ -339,14 +340,22 @@ def test_estimators_do_not_import_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def _exact_l_dirichlet(alpha):
-    v = GaussianPotential(1.0, 1.0)
-    l_const = coeff.c_d_alpha(1, alpha) / (2 * math.pi) * coeff.deterministic_constant_K(
-        "K1", 1, alpha)
-    return l_const * v.dirichlet_energy()
+def _exact_l_gradient(v, alpha):
+    # L_{d,alpha} int |grad V|^2, C_{1,2}'s closed form
+    d = v.d
+    return (coeff.c_d_alpha(d, alpha) * coeff.deterministic_constant_K("K1", d, alpha)
+            / (2.0 * math.pi) ** d * v.dirichlet_energy())
+
+
+def _exact_n_biharmonic(v, alpha):
+    # N_{d,alpha} int |Delta V|^2, C_{2,2}'s closed form
+    d = v.d
+    return (coeff.c_d_alpha(d, alpha) * coeff.deterministic_constant_K("K2", d, alpha)
+            / (2.0 * (2.0 * math.pi) ** d) * v.biharmonic_energy())
 
 
 OFF_CENTRE = GaussianMixturePotential([1.0, -0.6], [1.0, 0.5], [0.4, -0.3])
+CENTRED_2D = GaussianPotential(1.0, 1.0, center=(0.0, 0.0))
 CENTRED_3D = GaussianPotential(1.0, 1.0, center=(0.0, 0.0, 0.0))
 
 # Coverage of the scramble-based stderr over 20 scramble seeds, with the
@@ -362,7 +371,7 @@ COVERAGE = {
         lambda: GaussianPotential(1.0, 1.0).integral_power(2) / 2.0),
     "C_12 gaussian alpha=1.8": (
         lambda n, r: coeff.mc_coefficient_Cnj(GaussianPotential(1.0, 1.0), 1, 2, 1, 1.8, n, r),
-        lambda: _exact_l_dirichlet(1.8)),
+        lambda: _exact_l_gradient(GaussianPotential(1.0, 1.0), 1.8)),
     "C_03 mixture alpha=1.8": (
         lambda n, r: coeff.mc_coefficient_Cnj(OFF_CENTRE, 0, 3, 1, 1.8, n, r),
         lambda: OFF_CENTRE.integral_power(3) / 6.0),
@@ -370,11 +379,15 @@ COVERAGE = {
         lambda n, r: coeff.mc_coefficient_Cnj(OFF_CENTRE, 1, 3, 1, 1.8, n, r),
         lambda: 2.0 * coeff.c_d_alpha(1, 1.8) * coeff.deterministic_constant_K("K3", 1, 1.8)
         / (2.0 * math.pi) * OFF_CENTRE.weighted_gradient()),
-    # finite variance: alpha > 2n - d
+    "C_22 gaussian d=1 alpha=1.8": (
+        lambda n, r: coeff.mc_coefficient_Cnj(GaussianPotential(1.0, 1.0), 2, 2, 1, 1.8, n, r),
+        lambda: _exact_n_biharmonic(GaussianPotential(1.0, 1.0), 1.8)),
+    "C_22 gaussian d=2 alpha=1.5": (
+        lambda n, r: coeff.mc_coefficient_Cnj(CENTRED_2D, 2, 2, 2, 1.5, n, r),
+        lambda: _exact_n_biharmonic(CENTRED_2D, 1.5)),
     "C_22 gaussian d=3 alpha=1.5": (
         lambda n, r: coeff.mc_coefficient_Cnj(CENTRED_3D, 2, 2, 3, 1.5, n, r),
-        lambda: coeff.c_d_alpha(3, 1.5) * coeff.deterministic_constant_K("K2", 3, 1.5)
-        / (2.0 * (2.0 * math.pi) ** 3) * CENTRED_3D.biharmonic_energy()),
+        lambda: _exact_n_biharmonic(CENTRED_3D, 1.5)),
 }
 
 
@@ -464,17 +477,80 @@ def test_cnj_validity_rejection():
 
 @pytest.mark.parametrize("n,d,alpha,refused", [
     (2, 1, 1.9, True), (2, 2, 1.5, True), (1, 1, 0.9, True), (1, 1, 1.1, False),
-    (2, 3, 1.5, False),
+    (2, 3, 1.5, False), (1, 1, 1.0, True),
 ])
 def test_cnj_refuses_infinite_variance(n, d, alpha, refused):
-    # the increment factor prod X_a X_b S_1^-(n+d/2) of n >= 1 has a finite
-    # variance only where alpha > 2n - d; validate_params admits all five
+    # where alpha <= 2n - d the sampled increment factor x_M of C_{n,2} has
+    # an infinite variance: its second moment, the increment moment of M + M
+    # with S_1^-(2n+d), is refused as divergent.  The exact factor computes
+    # every cell, within 4 sigma of its closed form; validate_params admits all
     v = GaussianPotential(1.0, 1.0, center=(0.0,) * d)
+    m = (0,) * n
     if refused:
-        with pytest.raises(ValueError, match=r"infinite variance unless alpha > 2n - d"):
-            coeff.mc_coefficient_Cnj(v, n, 2, d, alpha, 4096, rng(2))
+        with pytest.raises(ValueError, match="diverges"):
+            coeff._increment_moment(m + m, 2, 2 * n, 2 * d, alpha)
     else:
-        assert coeff.mc_coefficient_Cnj(v, n, 2, d, alpha, 4096, rng(2)).stderr > 0.0
+        coeff._increment_moment(m + m, 2, 2 * n, 2 * d, alpha)
+    est = coeff.mc_coefficient_Cnj(v, n, 2, d, alpha, 1 << 20, rng(2))
+    want = (_exact_l_gradient if n == 1 else _exact_n_biharmonic)(v, alpha)
+    assert abs(est.value - want) <= 4.0 * est.stderr, (est.value - want) / est.stderr
+
+
+# (j, n, d, alpha) with alpha > 2n - d, where a sampled x_M has a finite
+# variance and its RQMC mean a sound error bar
+SAMPLED_MOMENTS = [(2, 1, 1, 1.8), (3, 1, 1, 1.5), (2, 2, 3, 1.5), (3, 2, 3, 1.5),
+                   (3, 1, 2, 1.2)]
+
+
+@pytest.mark.parametrize("j,n,d,alpha", SAMPLED_MOMENTS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_increment_moment_matches_sampled_moments(j, n, d, alpha, seed):
+    # thresholds fixed before the first run: every multiset's mean of x_M
+    # over 2^20 points of _increments' columns, SCRAMBLES scrambles of 2^15,
+    # lies within 4 sigma of _increment_moment
+    terms, pairs = coeff._multisets(j, n), coeff._pairs(j)
+    r, m = rng(seed), 1 << 15
+    means = []
+    for _ in range(coeff.SCRAMBLES):
+        u = sobol.ScrambledSobol(3 * j, m, r).stream(0, m).T
+        heads, incs, totals = coeff._increments(alpha, u[:, :j], u[:, j:])
+        x, s = [heads, *incs.T], totals ** -(n + d / 2.0)
+        means.append([math.prod((x[pairs[t][0]] * x[pairs[t][1]] for t in ms), start=s).mean()
+                      for ms, _ in terms])
+    means = np.array(means)
+    exact = np.array([coeff._increment_moment(ms, j, n, d, alpha) for ms, _ in terms])
+    z = (means.mean(axis=0) - exact) / (means.std(axis=0, ddof=1) / math.sqrt(coeff.SCRAMBLES))
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_order_admitted_exactly_where_increment_moments_are_finite():
+    # _require_order admits n exactly where every Gamma argument of
+    # _increment_moment is positive, n < alpha + d/2; the alpha grid misses
+    # the boundaries, which lie on multiples of 1/2
+    for d, n, j in itertools.product((1, 2, 3), (1, 2), (2, 3)):
+        for alpha in [0.05 + 0.1 * k for k in range(20)] + [2.0]:
+            try:
+                coeff._require_order(n, d, alpha, "C")
+                admitted = True
+            except ValueError:
+                admitted = False
+            try:
+                for ms, _ in coeff._multisets(j, n):
+                    coeff._increment_moment(ms, j, n, d, alpha)
+                finite = True
+            except ValueError:
+                finite = False
+            assert admitted == finite == (alpha == 2.0 or n < alpha + d / 2.0), (d, n, alpha)
+
+
+def test_increment_moment_special_cases():
+    # the empty multiset is E[S_1^{-d/2}]; at alpha = 2 the increments are
+    # their times, Dirichlet(2, 1, 1) at j = 3: E[g_0 g_1] = 1/10, E[g_1 g_2] = 1/20
+    for d, alpha in ((1, 0.7), (2, 1.3), (3, 1.9)):
+        assert coeff._increment_moment((), 2, 0, d, alpha) == pytest.approx(
+            sub.stable_moment(alpha, -d / 2.0), rel=1e-14)
+    got = [coeff._increment_moment((t,), 3, 1, 2, 2.0) for t in range(3)]
+    assert got == pytest.approx([1 / 10, 1 / 10, 1 / 20], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,33 @@ def test_relativistic_laplace_law_pooled_over_seeds():
         assert np.abs(z).max() <= 4.5
 
 
+# Laplace laws away from m = 1 and a = 1, where a wrong tilt m^{1/alpha} or
+# a wrong weight a^{1/beta} shows (|z| >= 162 at lam = 1); thresholds fixed
+# before the first run: |z| <= 4 at 10^6 draws, at every lam and seed
+@pytest.mark.parametrize("alpha,m,t", [(1.5, 2.0, 0.5), (1.0, 3.0, 0.2)])
+@pytest.mark.parametrize("seed", [41, 42])
+def test_relativistic_laplace_law_off_unit_mass(alpha, m, t, seed):
+    spec = sub.SubordinatorSpec.relativistic(alpha, m)
+    s = sub.sample_relativistic(alpha, m, t, rng(seed), size=10**6)
+    for lam in (0.5, 1.0, 2.0):
+        x = np.exp(-lam * s)
+        want = math.exp(-t * float(spec.laplace_exponent(lam)))
+        z = (x.mean() - want) / (x.std(ddof=1) / math.sqrt(s.size))
+        assert abs(z) <= 4.0, (lam, z)
+
+
+@pytest.mark.parametrize("alpha,beta,a", [(0.8, 1.6, 0.5), (1.2, 1.8, 3.0)])
+@pytest.mark.parametrize("seed", [43, 44])
+def test_mixed_laplace_law_off_unit_weight(alpha, beta, a, seed):
+    spec = sub.SubordinatorSpec.mixed(alpha, beta, a)
+    s = sub.sample_mixed(alpha, beta, a, 1.0, rng(seed), size=10**6)
+    for lam in (0.5, 1.0, 2.0):
+        x = np.exp(-lam * s)
+        want = math.exp(-float(spec.laplace_exponent(lam)))
+        z = (x.mean() - want) / (x.std(ddof=1) / math.sqrt(s.size))
+        assert abs(z) <= 4.0, (lam, z)
+
+
 def test_relativistic_acceptance_rate():
     n = 4 * 10**5
     _, proposals, accepted = sub.sample_relativistic(

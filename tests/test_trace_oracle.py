@@ -168,8 +168,19 @@ def test_curve_records_how_the_spectrum_was_solved(d, center, solve, sizes):
 
 
 def test_sector_path_makes_the_dense_checks():
-    with pytest.raises(ValueError, match="cap"):
-        oracle._spectrum(oracle.SpectralGrid(2, 10.0, 128), 1.0, _mixture(2, 0.0))
+    # the size cap applies to the largest block solved: at d = 2, N = 128 the
+    # dense H is over it and the largest sector block is not; at d = 1, the
+    # 8192 rows of N = 16384's even block are within it
+    grid = oracle.SpectralGrid(2, 10.0, 128)
+    oracle._check_inputs(grid, 1.0, _mixture(2, 0.0), False)
+    with pytest.raises(ValueError, match=r"H has 16129 rows at N=128, d=2, above the dense"):
+        oracle._check_inputs(grid, 1.0, _mixture(2, 0.0), True)
+    with pytest.raises(ValueError, match="the largest sector block has 16256 rows at N=256"):
+        oracle._spectrum(oracle.SpectralGrid(2, 10.0, 256), 1.0, _mixture(2, 0.0))
+    grid = oracle.SpectralGrid(1, 40.0, 16384)
+    oracle._check_inputs(grid, 1.0, _mixture(1, 0.0), False)
+    with pytest.raises(ValueError, match="H has 16383 rows"):
+        oracle._check_inputs(grid, 1.0, _mixture(1, 0.4), True)
     with pytest.raises(ValueError, match="alpha"):
         oracle._spectrum(oracle.SpectralGrid(1, 10.0, 32), 2.5, _mixture(1, 0.0))
     wide = GaussianPotential(1.0, 5.0)

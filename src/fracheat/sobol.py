@@ -12,6 +12,17 @@ one point in each interval of width 2^-k (Owen 1995; Matousek 1998), so
 the mean over independent scrambles is an unbiased estimate whose spread
 gives its standard error.
 
+The matrix scrambles only the first k digits of a net of at most 2^k
+points; below them every point takes the digits of the shift, so each
+coordinate is a grid of spacing 2^-k at one random offset.  Scrambled
+by the matrix, those digits are linear in the first k, and on a smooth
+integrand about one scramble in a hundred lines them up with it: the
+theta factor of the Gaussian C_{1,2} at d=1 and 4096 points gave
+scramble values of kurtosis 73, so the standard deviation of 32 of them
+varied 12-fold between seeds.  On the shifted grid the kurtosis is about
+2.5, and at 2^15 points a scramble the median stderr of that C_{1,2} is 7
+times smaller.
+
 Point ``k`` on the grid is returned as the float ``(k + 1/2) 2^-52``, so
 no inverse transform ever sees 0 or 1.  The samplers take the coordinates
 of a block of points as explicit uniform columns, one per uniform they
@@ -107,6 +118,9 @@ class ScrambledSobol:
         masks = rng.integers(0, 1 << _BITS, (dim, _BITS), dtype=np.uint64) & ~low | (low + 1)
         parity = np.bitwise_count(_V[:dim, :used, None] & masks[:, None, :]) & 1
         self._v = (parity.astype(np.uint64) << np.arange(_BITS, dtype=np.uint64)).sum(axis=2)
+        # the digits below the first `used`, zero before the scramble, stay
+        # zero and take the shift's
+        self._v &= ~np.uint64((1 << (_BITS - used)) - 1)
         self._shift = rng.integers(0, 1 << _BITS, (dim, 1), dtype=np.uint64)
 
     def stream(self, start: int, count: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import qmc
 
 from fracheat import sobol
@@ -30,11 +31,26 @@ def test_scrambled_net_is_stratified_and_inside_unit_interval():
     u = sobol.ScrambledSobol(sobol.MAX_DIM, n, rng(1)).stream(0, n)
     for column in u:
         assert np.array_equal(np.sort(np.floor(column * n)), np.arange(n))
+        # every point at the same offset in its interval: a shifted grid
+        assert np.unique(column * n % 1.0).size == 1
     assert u.min() > 0.0 and u.max() < 1.0
     # every value is (k + 1/2) 2^-52 for an integer k below 2^52
     k = np.round(u * 2.0**52 - 0.5)
     assert np.array_equal((k + 0.5) * 2.0**-52, u)
     assert k.min() >= 0 and k.max() < 2.0**52
+
+
+def test_scramble_values_of_a_smooth_integrand_are_not_heavy_tailed():
+    # the mean of theta^2 e^(-theta^2/2), theta standard normal, over 256
+    # scrambles of 4096 points: kurtosis 2.1 to 2.8 at seeds 0-5, and 27 to
+    # 120 with all 52 digits under the matrix scramble
+    r = rng(4)
+    vals = []
+    for _ in range(256):
+        x = special.ndtri(sobol.ScrambledSobol(1, 1 << 12, r).stream(0, 1 << 12)[0])
+        vals.append(np.mean(x * x * np.exp(-x * x / 2)))
+    z = (np.array(vals) - np.mean(vals)) / np.std(vals)
+    assert np.mean(z**4) < 5.0
 
 
 def test_scrambles_differ_and_repeat_by_seed():

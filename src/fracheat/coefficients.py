@@ -67,7 +67,8 @@ __all__ = [
 
 #: Independent scrambles behind every randomized quasi-Monte Carlo estimate.
 SCRAMBLES = 32
-#: Points of one scramble generated and evaluated together, bounding memory.
+#: Points of one scramble generated and evaluated together, bounding memory;
+#: a block of more than 32 columns takes fewer (_mc_estimate).
 _CHUNK = 1 << 20
 
 
@@ -220,26 +221,30 @@ def _mc_estimate(sample_fn, combine, widths, n_samples, scale, params, rng) -> E
     """scale times the mean over SCRAMBLES scrambled Sobol nets of combine(net means).
 
     Each scramble of ceil(n_samples / SCRAMBLES) points in sum(widths)
-    dimensions is generated and evaluated on its own, at most _CHUNK points
-    at a time: the block is split into consecutive columns of the given
-    widths, and sample_fn receives one (points, width) view per width and
-    returns its values at those points, or sums of them, along the last
-    axis.  combine maps the means of those values over the whole scramble
-    to the scramble's value (float: the one mean itself).  The value is the mean of
-    the scramble values and the stderr their standard deviation over
-    sqrt(SCRAMBLES).
+    dimensions is generated and evaluated on its own, one block of points at
+    a time: the largest power of two of points, at most _CHUNK, whose values
+    fit in _CHUNK rows of 32 columns.  The block is split into consecutive
+    columns of the given widths, and sample_fn receives one (points, width)
+    view per width and returns its values at those points, or sums of them,
+    along the last axis.  combine maps the means of those values over the
+    whole scramble to the scramble's value (float: the one mean itself).
+    The value is the mean of the scramble values and the stderr their
+    standard deviation over sqrt(SCRAMBLES).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples={n_samples} must be >= 1")
     m = -(-n_samples // SCRAMBLES)
     bounds = list(itertools.accumulate(widths))
+    # halving the points per doubling of the columns keeps each block a
+    # power of two, so every block starts where a Gray-code block may
+    chunk = _CHUNK >> (-(-bounds[-1] // 32) - 1).bit_length()
     means = np.empty(SCRAMBLES)
     for r in range(SCRAMBLES):
         net = ScrambledSobol(bounds[-1], m, rng)
         total = 0.0
-        for start in range(0, m, _CHUNK):
+        for start in range(0, m, chunk):
             # the previous block stays referenced until this one exists
-            points = net.stream(start, min(_CHUNK, m - start))
+            points = net.stream(start, min(chunk, m - start))
             total = total + sample_fn(*np.split(points.T, bounds[:-1], axis=1)).sum(axis=-1)
         means[r] = combine(total / m)
     return Estimate(float(scale * means.mean()),
@@ -369,7 +374,7 @@ def mc_coefficient_Cnj(
     the Gaussian family); the weight w(theta) carries the sign and phase
     through the product Vhat(-(theta_1+..+theta_{j-1})) * prod_i Vhat(theta_i)
     divided by the proposal density.  Every draw is an inverse transform of
-    scrambled Sobol points, (j-1)(d + 1 for a mixture) dimensions, at most 32.
+    scrambled Sobol points, (j-1)(d + 1 for a mixture) dimensions.
 
     At n = 0 the one multiset is empty and E[x] = E[S_1^{-d/2}]: the
     estimate then tends to int V^j / j!, the convention gate for all (2 pi)

@@ -275,13 +275,38 @@ def test_cnj_records_its_terms(n, j, terms):
 
 
 def test_point_dimension_limit_named():
-    # (j-1)(d+1) theta columns per point with a mixture at d = 3: 36 at
-    # j = 10 are refused, 24 at j = 7 run at every n
+    # (j-1)(d+1) theta columns per point with a mixture at d = 3: 24 at j = 7
+    # run at every n, and the 36 of C_{0,10} tend to int V^10 / 10!; the
+    # Sobol table's own limit is test_sobol's
     v = GaussianMixturePotential([1.0, 0.5], [1.0, 2.0], np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="32"):
-        coeff.mc_coefficient_Cnj(v, 1, 10, 3, 1.5, 1000, rng())
     est = coeff.mc_coefficient_Cnj(v, 1, 7, 3, 1.5, 1000, rng())
     assert est.params["terms"] == 21 and est.stderr > 0.0
+    want = v.integral_power(10) / math.factorial(10)
+    for seed in range(3):
+        est = coeff.mc_coefficient_Cnj(v, 0, 10, 3, 1.5, 1 << 18, rng(seed))
+        assert abs(est.value - want) <= 4.0 * est.stderr
+
+
+def test_wide_blocks_hold_fewer_points(monkeypatch):
+    # a block holds at most _CHUNK points of 32 columns: the 64 columns of
+    # C_{0,17} for a d = 3 mixture stream blocks of at most half the points
+    # of the 32 of C_{0,9}, with the estimate of each whole scramble at once
+    blocks = {}
+
+    class Recording(sobol.ScrambledSobol):
+        def stream(self, start, count):
+            blocks.setdefault(len(self._shift), set()).add(count)
+            return super().stream(start, count)
+
+    v = GaussianMixturePotential([1.0, 0.5], [1.0, 2.0], np.zeros((2, 3)))
+    n = coeff.SCRAMBLES << 12
+    whole = [coeff.mc_coefficient_Cnj(v, 0, j, 3, 1.5, n, rng(4)) for j in (9, 17)]
+    monkeypatch.setattr(coeff, "_CHUNK", 1 << 10)
+    monkeypatch.setattr(coeff, "ScrambledSobol", Recording)
+    for j, want in zip((9, 17), whole):
+        est = coeff.mc_coefficient_Cnj(v, 0, j, 3, 1.5, n, rng(4))
+        assert est.value == pytest.approx(want.value, rel=1e-12)
+    assert max(blocks[64]) <= max(blocks[32]) // 2
 
 
 def test_c0j_draws_no_increments(monkeypatch):

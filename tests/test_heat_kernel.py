@@ -142,6 +142,13 @@ def test_kernel_value_nonconvergence_still_named():
         hk.kernel_value(3, 0.8, 0.1, 5.0)
 
 
+def test_kernel_value_refuses_a_value_above_the_origin(monkeypatch):
+    # a quadrature that reports an exact value above p_t(0) does not pass
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (1e6, 0.0))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        hk.kernel_value(1, 1.5, 0.1, 0.5)
+
+
 def _ufunc_kernel_quadrature(d, alpha, t, r):
     """kernel_value's d >= 2 quadrature with the scipy.special.jv ufunc integrand.
 

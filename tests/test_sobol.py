@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import special
@@ -10,15 +14,31 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-@pytest.mark.parametrize("dim", range(1, sobol.MAX_DIM + 1))
+@pytest.mark.parametrize("dim", [*range(1, 33), 33, 64, 1111])
 def test_unscrambled_points_equal_scipy(dim):
-    want = qmc.Sobol(dim, scramble=False, bits=52).random(1 << 10)
-    got = sobol._gray_points(sobol._V[:dim], 0, 1 << 10, 0)
+    n = 1 << 8 if dim > 64 else 1 << 10
+    want = qmc.Sobol(dim, scramble=False, bits=52).random(n)
+    got = sobol._gray_points(sobol._direction_numbers(dim), 0, n, 0)
     assert np.array_equal(got.T, (want * 2.0**52).astype(np.uint64))
 
 
+def test_rows_are_built_once_and_kept():
+    # a wider net extends the rows a narrower one built, and the import of
+    # the driver builds none (run where no net has been built yet)
+    code = ("from fracheat import cli, sobol\n"
+            "print(len(sobol._V), end=' ')\n"
+            "v = sobol._direction_numbers(3).copy()\n"
+            "print(len(sobol._V), end=' ')\n"
+            "print(len(sobol._direction_numbers(40)), len(sobol._V), end=' ')\n"
+            "print(bool((sobol._direction_numbers(3) == v).all()))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["0", "3", "40", "40", "True"]
+
+
 def test_blocks_equal_the_whole_and_must_be_aligned():
-    v = sobol._V[:5]
+    v = sobol._direction_numbers(5)
     whole = sobol._gray_points(v, 0, 3 << 10, 0)
     blocks = [sobol._gray_points(v, start, 1 << 10, 0) for start in (0, 1 << 10, 2 << 10)]
     assert np.array_equal(np.concatenate(blocks, axis=1), whole)
@@ -28,7 +48,7 @@ def test_blocks_equal_the_whole_and_must_be_aligned():
 
 def test_scrambled_net_is_stratified_and_inside_unit_interval():
     n = 1 << 12
-    u = sobol.ScrambledSobol(sobol.MAX_DIM, n, rng(1)).stream(0, n)
+    u = sobol.ScrambledSobol(64, n, rng(1)).stream(0, n)
     for column in u:
         assert np.array_equal(np.sort(np.floor(column * n)), np.arange(n))
         # every point at the same offset in its interval: a shifted grid
@@ -61,7 +81,8 @@ def test_scrambles_differ_and_repeat_by_seed():
 
 
 def test_dimension_limit_named():
-    with pytest.raises(ValueError, match="32"):
-        sobol.ScrambledSobol(sobol.MAX_DIM + 1, 16, rng())
+    # the rows of scipy's Joe-Kuo table
+    with pytest.raises(ValueError, match="21201"):
+        sobol.ScrambledSobol(21202, 16, rng())
     with pytest.raises(ValueError):
         sobol.ScrambledSobol(0, 16, rng())

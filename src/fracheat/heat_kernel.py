@@ -61,13 +61,19 @@ def sphere_surface_area(d: int) -> float:
 
 
 def kernel_at_zero(d: int, alpha: float) -> float:
-    """p_1^{(alpha)}(0) = w_d Gamma(d/alpha) / ((2 pi)^d alpha), closed form."""
+    """p_1^{(alpha)}(0) = w_d Gamma(d/alpha) / ((2 pi)^d alpha), closed form.
+
+    Gamma(d/alpha) above the float range (d/alpha > 171.6, as at small
+    alpha) is refused with a ValueError.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     _validate_alpha(alpha)
-    return float(
-        sphere_surface_area(d) * special.gamma(d / alpha) / ((2.0 * math.pi) ** d * alpha)
-    )
+    gamma = special.gamma(d / alpha)
+    if math.isinf(gamma):
+        raise ValueError(f"p_1(0) at d={d}, alpha={alpha}: Gamma(d/alpha), Gamma argument "
+                         f"{d / alpha:.6g}, overflows a float (d/alpha > 171.6)")
+    return float(sphere_surface_area(d) * gamma / ((2.0 * math.pi) ** d * alpha))
 
 
 #: Relative tolerance of the kernel quadrature.
@@ -203,7 +209,10 @@ def relativistic_kernel_at_zero(
         raise ValueError(f"need d >= 1 and t > 0, got d={d}, t={t}")
     SubordinatorSpec("relativistic", alpha, m=m)  # checks alpha and m
     s = sample_stable(alpha, 1.0, rng, size=n_samples)
-    w = s ** (-d / 2.0) * np.exp(-((t * m) ** (2.0 / alpha)) * s)
+    w = s ** (-d / 2.0)
+    # the tilt overwrites the draws
+    s *= -((t * m) ** (2.0 / alpha))
+    w *= np.exp(s, out=s)
     scale = (4.0 * math.pi) ** (-d / 2.0) * t ** (-d / alpha) * math.exp(m * t)
     return Estimate.of_samples(w, scale)
 
@@ -222,7 +231,7 @@ def mixed_kernel_at_zero(
         raise ValueError("n_samples must be >= 100")
     if d < 1:
         raise ValueError("d must be >= 1")
-    s = sample_mixed(alpha, beta, a, t, rng, size=n_samples)
-    w = s ** (-d / 2.0)
+    w = sample_mixed(alpha, beta, a, t, rng, size=n_samples)
+    w **= -d / 2.0
     scale = (4.0 * math.pi) ** (-d / 2.0)
     return Estimate.of_samples(w, scale)

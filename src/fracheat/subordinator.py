@@ -167,12 +167,11 @@ def _kanter_log(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return ((1.0 - rho) / rho) * (_log_a(rho, u) - np.log(e))
 
 
-def _kanter_unit(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # S_1 = exp(_kanter_log(rho, u, e)) elementwise, evaluated about _BLOCK
-    # values at a time in blocks of rows; row blocks are views in any memory
-    # layout, where flattening would copy the column-major columns of a
-    # scrambled Sobol block
-    out = np.empty(u.shape)
+def _kanter_unit(rho: float, u: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # S_1 = exp(_kanter_log(rho, u, e)) elementwise into out, which may be u
+    # itself, evaluated about _BLOCK values at a time in blocks of rows; row
+    # blocks are views in any memory layout, where flattening would copy the
+    # column-major columns of a scrambled Sobol block
     for b in _row_blocks(u.shape[0], math.prod(u.shape[1:])):
         out[b] = np.exp(_kanter_log(rho, u[b], e[b]))
     return out
@@ -199,7 +198,8 @@ def sample_stable(alpha: float, t: float, rng: np.random.Generator, size: int) -
         return np.full(size, float(t))
     u = rng.uniform(0.0, np.pi, size)
     e = rng.standard_exponential(size)
-    s = _kanter_unit(alpha / 2.0, u, e)
+    # S_1 overwrites its uniforms, block by block
+    s = _kanter_unit(alpha / 2.0, u, e, u)
     s *= t ** (2.0 / alpha)
     return s
 
@@ -267,7 +267,7 @@ def increments_batch(alpha: float, lam: np.ndarray, u: np.ndarray, e: np.ndarray
         heads, incs = head_times, gaps
     else:
         scale = 2.0 / alpha
-        unit = _kanter_unit(alpha / 2.0, u, e)
+        unit = _kanter_unit(alpha / 2.0, u, e, np.empty(u.shape))
         heads = head_times**scale * unit[:, 0]
         incs = gaps**scale * unit[:, 1:]
     inc_sum = incs[:, 0]
@@ -367,7 +367,9 @@ def sample_mixed(
     SubordinatorSpec("mixed", alpha, beta=beta, a=a)  # checks alpha, beta, a; t below
     s_a = sample_stable(alpha, t, rng, size=size)
     s_b = sample_stable(beta, t, rng, size=size)
-    return s_a + a ** (2.0 / beta) * s_b
+    s_b *= a ** (2.0 / beta)
+    s_b += s_a
+    return s_b
 
 
 def density_half(t, s):

@@ -42,7 +42,7 @@ MUTANTS = [
            "tilt = m ** (2.0 / alpha)", "tilt = m ** (1.0 / alpha)",
            "tests/test_subordinator.py::test_relativistic_laplace_law_off_unit_mass"),
     Mutant("mixed scale a^(1/beta)", "src/fracheat/subordinator.py",
-           "a ** (2.0 / beta) * s_b", "a ** (1.0 / beta) * s_b",
+           "s_b *= a ** (2.0 / beta)", "s_b *= a ** (1.0 / beta)",
            "tests/test_subordinator.py::test_mixed_laplace_law_off_unit_weight"),
     Mutant("periodization threshold 1e-6", "src/fracheat/trace_oracle.py",
            "outside > 1e-10 * abs(integral) and outside > 1e-10 * V.l1_norm",
@@ -82,6 +82,18 @@ MUTANTS = [
            "src/fracheat/coefficients.py",
            "except OverflowError:", "except ZeroDivisionError:",
            "tests/test_coefficients.py::test_increment_moment_refuses_a_gamma_overflow"),
+    Mutant("a scramble share that repeats its first scramble", "src/fracheat/coefficients.py",
+           "points = nets[r].stream(", "points = nets[k].stream(",
+           "tests/test_coefficients.py::test_threaded_scrambles_equal_sequential_ones"),
+    Mutant("a calling thread that skips share 0", "src/fracheat/coefficients.py",
+           "        share(0)\n", "        pass\n",
+           "tests/test_coefficients.py::test_threaded_scrambles_equal_sequential_ones"),
+    Mutant("worker shares outside the caller's context", "src/fracheat/coefficients.py",
+           "submit(contextvars.copy_context().run, share, k)", "submit(share, k)",
+           "tests/test_coefficients.py::test_errstate_reaches_the_worker_threads"),
+    Mutant("kernel_at_zero without its Gamma overflow refusal", "src/fracheat/heat_kernel.py",
+           "    if math.isinf(gamma):", "    if False:",
+           "tests/test_heat_kernel.py::test_kernel_at_zero_refuses_a_gamma_overflow"),
     Mutant("a failing criterion without its failing messages", "src/fracheat/acceptance.py",
            'detail = detail + " || " + failed if detail else failed', "pass",
            "tests/test_acceptance.py::test_criterion_reports_its_failing_checks"),

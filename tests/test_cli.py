@@ -542,6 +542,10 @@ def test_kernel_beyond_quadpack_exits_4_and_writes_nothing(tmp_path, capsys):
     # Gamma(d/alpha) = Gamma(200) of E[S_1^{-d/2}] overflows a float
     (["coeff", "--n-index", "0", "--j", "2", "--d", "1", "--alpha", "0.005", "--potential",
       "gaussian:c=1,s=1", "--samples", "4096"], "Gamma argument 200 overflows"),
+    # Gamma(d/alpha) = Gamma(200) of p_1(0) overflows a float: C_{d,alpha} read 0
+    # and the constant NaN
+    (["constants", "--which", "L", "--d", "4", "--alpha", "0.02", "--n", "4096"],
+     "Gamma(d/alpha), Gamma argument 200, overflows"),
 ])
 def test_degenerate_inputs_exit_4_and_write_nothing(tmp_path, capsys, args, named):
     out = tmp_path / "out"

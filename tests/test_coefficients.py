@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -315,13 +316,16 @@ def test_same_seed_same_estimates_more_paths(case):
                                                            [0.4, -0.3]), 2)])
 def test_cnj_weights_each_row_block_once(monkeypatch, v, j):
     # the integrand takes its theta weight from one theta_weight call per row
-    # block, never from separate fourier and proposal_density calls
+    # block, never from separate fourier and proposal_density calls; the
+    # scrambles run on several threads, so each count is taken under a lock
     calls = {"fourier": 0, "proposal_density": 0, "theta_weight": 0}
+    lock = threading.Lock()
     for name in calls:
         original = getattr(GaussianMixturePotential, name)
 
         def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
+            with lock:
+                calls[_name] += 1
             return _original(self, *args)
 
         monkeypatch.setattr(GaussianMixturePotential, name, counted)
@@ -343,6 +347,80 @@ def test_scramble_blocks_match_whole_scrambles(monkeypatch):
     blocked = coeff.mc_coefficient_Cnj(v, 1, 3, 1, 1.8, n, rng(3))
     assert blocked.value == pytest.approx(whole.value, rel=1e-12)
     assert blocked.stderr == pytest.approx(whole.stderr, rel=1e-9)
+
+
+def _sequential(sample_fn, combine, widths, n_samples, scale, params, rng):
+    # _mc_estimate's value and stderr from the same nets, drawn in order, each
+    # scramble evaluated whole, one after another on this thread
+    m = -(-n_samples // coeff.SCRAMBLES)
+    bounds = list(itertools.accumulate(widths))
+    nets = [sobol.ScrambledSobol(bounds[-1], m, rng) for _ in range(coeff.SCRAMBLES)]
+    means = np.array([
+        combine(sample_fn(*np.split(net.stream(0, m).T, bounds[:-1], axis=1)).sum(axis=-1) / m)
+        for net in nets])
+    return (float(scale * means.mean()),
+            float(scale * means.std(ddof=1) / math.sqrt(coeff.SCRAMBLES)))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda r: coeff.mc_constant_K("K1", 1, 1.8, 1 << 20, r),
+    lambda r: coeff.mc_constant_K("K3", 2, 1.5, 1 << 20, r),
+    lambda r: coeff.mc_coefficient_Cnj(OFF_CENTRE, 1, 3, 1, 1.8, 1 << 20, r),
+], ids=["K1", "K3", "mixture C13"])
+@pytest.mark.parametrize("threads", [1, 3])  # 3 shares 32 scrambles unevenly
+def test_threaded_scrambles_equal_sequential_ones(monkeypatch, threads, estimate):
+    # at 2^15 points a scramble the estimate is the one of whole scrambles
+    # evaluated in order, bit for bit, however the scrambles are shared out
+    monkeypatch.setattr(coeff, "_THREADS", threads)
+    seen = []
+    engine = coeff._mc_estimate
+
+    def recording(*args):
+        seen.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(coeff, "_mc_estimate", recording)
+    est = estimate(rng(11))
+    assert len(seen) == 1
+    want = _sequential(*seen[0][:-1], rng(11))
+    assert (est.value, est.stderr) == want
+    assert est.n_samples == 1 << 20
+
+
+def test_oversubscribed_threads_lose_no_scramble(monkeypatch):
+    # more threads than CPUs, switching every 10 us: each scramble is still
+    # evaluated once, into its own slot
+    def estimates():
+        return [coeff.mc_constant_K("K1", 1, 1.8, coeff.SCRAMBLES * 4096, rng(s))
+                for s in range(4)]
+
+    monkeypatch.setattr(coeff, "_THREADS", 1)
+    want = estimates()
+    monkeypatch.setattr(coeff, "_THREADS", min(coeff.SCRAMBLES, 2 * coeff._cpus() + 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = estimates()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_errstate_reaches_the_worker_threads(monkeypatch):
+    # a caller's np.errstate holds in the workers' shares too: an underflow
+    # there, which leaves no trace in the values, raises in the caller
+    monkeypatch.setattr(coeff, "_THREADS", 3)
+    caller = threading.get_ident()
+
+    def sample_fn(points):
+        if threading.get_ident() == caller:
+            return points[:, 0]
+        return np.exp(-1e4 * points[:, 0])
+
+    n = coeff.SCRAMBLES * 64
+    assert math.isfinite(coeff._mc_estimate(sample_fn, float, (1,), n, 1.0, {}, rng(2)).value)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        coeff._mc_estimate(sample_fn, float, (1,), n, 1.0, {}, rng(2))
 
 
 @pytest.mark.parametrize("n,j,terms", [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 3), (2, 3, 6)])

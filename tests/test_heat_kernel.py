@@ -34,6 +34,16 @@ def test_kernel_at_zero_closed_forms():
         hk.kernel_at_zero(1, 2.5)
 
 
+@pytest.mark.parametrize("d,alpha,arg", [(4, 0.02, "200"), (1, 0.0058, "172.414")])
+def test_kernel_at_zero_refuses_a_gamma_overflow(d, alpha, arg):
+    # Gamma(d/alpha) is beyond the float range above d/alpha ~ 171.6, where
+    # p_1(0) read inf and C_{d,alpha} = pi^{d/2} / p_1(0) read 0; twice the
+    # alpha is finite
+    with pytest.raises(ValueError, match=f"Gamma argument {arg}, overflows"):
+        hk.kernel_at_zero(d, alpha)
+    assert math.isfinite(hk.kernel_at_zero(d, 2 * alpha)) and hk.kernel_at_zero(d, 2 * alpha) > 0
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_moment_identity(d, alpha):
@@ -301,3 +311,20 @@ def test_relativistic_sample_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * n
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda n: hk.relativistic_kernel_at_zero(1, 1.0, 1.0, 0.5, n, rng(5)),
+    lambda n: hk.mixed_kernel_at_zero(1, 0.8, 1.6, 1.0, 0.5, n, rng(5)),
+], ids=["relativistic", "mixed"])
+def test_at_zero_memory_is_three_arrays(estimate):
+    # the draws overwrite their uniforms and the integrands are formed in
+    # place: about three arrays of n floats at the peak (four before)
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        estimate(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20

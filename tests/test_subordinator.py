@@ -46,11 +46,13 @@ def test_kanter_blocks_match_one_shot():
     u = rng(3).uniform(0.0, np.pi, (n, 3))
     e = rng(4).standard_exponential((n, 3))
     whole = np.exp(sub._kanter_log(0.9, u, e))
-    assert np.array_equal(sub._kanter_unit(0.9, u, e), whole)
+    assert np.array_equal(sub._kanter_unit(0.9, u, e, np.empty(u.shape)), whole)
     # column-major columns, as a scrambled Sobol block holds them, block by
     # rows alike
     f_u, f_e = np.asfortranarray(u), np.asfortranarray(e)
-    assert np.array_equal(sub._kanter_unit(0.9, f_u, f_e), whole)
+    assert np.array_equal(sub._kanter_unit(0.9, f_u, f_e, np.empty(u.shape)), whole)
+    # and into its own uniforms
+    assert np.array_equal(sub._kanter_unit(0.9, f_u, f_e, f_u), whole)
 
 
 def test_alpha2_is_deterministic():
